@@ -6,7 +6,7 @@
 #   1. formatting         cargo fmt --check
 #   2. clippy, zero-warn  cargo clippy --workspace --all-targets -- -D warnings
 #   3. release build      cargo build --release
-#   4. test suite         cargo test -q
+#   4. test suite         cargo test --workspace -q
 #   5. rustdoc, zero-warn RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 #   6. equivalence suite  cargo test -q --release --test equivalence
 #   7. bench smoke        cargo run --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace
@@ -76,8 +76,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -14,7 +14,9 @@
 //!   locally inferable — `self`, a parameter, or a `let` with a type
 //!   annotation / `Type::new(…)` / struct-literal initialiser — or when
 //!   exactly one workspace function bears that name (unique-name
-//!   fallback).
+//!   fallback). The fallback never crosses into a crate declared to
+//!   mirror the std atomic API (`[atomics] exempt-crates`): from any
+//!   other crate, a `.load(…)` there is std's, not the mirror's.
 //!
 //! Unresolvable calls produce no edge; rules treat them as leaves.
 
@@ -100,7 +102,7 @@ impl Workspace {
                 parsed: parse_file(sf),
             })
             .collect();
-        let graph = CallGraph::build(&files);
+        let graph = CallGraph::build(&files, &config.atomics.exempt);
         Workspace {
             files,
             lib_crates: config.lib_crates.clone(),
@@ -219,7 +221,7 @@ impl Workspace {
 
 impl CallGraph {
     /// Builds nodes and edges for all functions in `files`.
-    pub fn build(files: &[AnalyzedFile]) -> CallGraph {
+    pub fn build(files: &[AnalyzedFile], mirror_crates: &[String]) -> CallGraph {
         let mut nodes = Vec::new();
         for (fi, file) in files.iter().enumerate() {
             for (ii, f) in file.parsed.fns.iter().enumerate() {
@@ -244,7 +246,7 @@ impl CallGraph {
                 let vars =
                     item.map_or_else(HashMap::new, |i| local_types(i, node.impl_type.as_deref()));
                 body.visit(&mut |e| {
-                    resolve_expr(e, node, &nodes, &vars, &index, &mut callees);
+                    resolve_expr(e, node, &nodes, &vars, &index, mirror_crates, &mut callees);
                 });
             }
             callees.sort_unstable();
@@ -402,6 +404,7 @@ fn resolve_expr(
     nodes: &[FnNode],
     vars: &HashMap<String, String>,
     index: &NameIndex,
+    mirror_crates: &[String],
     out: &mut Vec<usize>,
 ) {
     match e {
@@ -445,9 +448,12 @@ fn resolve_expr(
                 None => {
                     // Unique-name fallback: only when the workspace has
                     // exactly one function with this name.
-                    if let Some(v) = index.any.get(method) {
-                        if v.len() == 1 {
-                            out.extend(v.iter().copied());
+                    if let Some(&[only]) = index.any.get(method).map(Vec::as_slice) {
+                        let mirrored = nodes.get(only).is_some_and(|n| {
+                            n.crate_name != node.crate_name && mirror_crates.contains(&n.crate_name)
+                        });
+                        if !mirrored {
+                            out.push(only);
                         }
                     }
                 }
@@ -578,6 +584,30 @@ mod tests {
             "{:?}",
             callees(&w, "f")
         );
+    }
+
+    #[test]
+    fn unique_name_fallback_stays_out_of_atomic_mirror_crates() {
+        let sources = [
+            SourceFile::parse(
+                "crates/syncmodel/src/mem.rs",
+                "pub struct ModelAtomicU64;\nimpl ModelAtomicU64 { pub fn load(&self) -> u64 { 0 } }\nfn own(a: &ModelAtomicU64) -> u64 { peek().load() }\n",
+            ),
+            SourceFile::parse(
+                "crates/tagbreathe/src/ring.rs",
+                "fn head(&self) -> u64 { self.head.value.load() }\n",
+            ),
+        ];
+        let config = Config {
+            atomics: crate::config::AtomicsConfig {
+                exempt: vec!["syncmodel".to_string()],
+                ..crate::config::AtomicsConfig::default()
+            },
+            ..Config::default()
+        };
+        let w = Workspace::build(&sources, &config);
+        assert!(callees(&w, "head").is_empty(), "{:?}", callees(&w, "head"));
+        assert_eq!(callees(&w, "own"), vec!["load"]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`Registry`] implements [`Recorder`] by storing counters, gauges and
 //! [`LogHistogram`]s in `BTreeMap`s behind one `Mutex` — deterministic
-//! iteration order, safe to share across the pipelined monitor's worker
-//! thread via `Arc`. Reading is cold-path only: take a
+//! iteration order, safe to share across the fleet engine's shard
+//! worker threads via `Arc`. Reading is cold-path only: take a
 //! [`Registry::snapshot`] (or render directly) after the run.
 
 use crate::histogram::{LogHistogram, BUCKETS};

@@ -76,8 +76,9 @@ pub(crate) struct SnapshotStore {
     pub trimmed: u64,
     /// Latest per-user analysis.
     pub latest: BTreeMap<u64, UserSnapshot>,
-    /// Rendered flight-recorder bundles (JSON), oldest first.
-    pub bundles: Vec<String>,
+    /// The newest rendered flight-recorder bundle (JSON), served at
+    /// `/bundle`.
+    pub bundle: Option<String>,
 }
 
 /// Everything the engine thread owns, bundled for [`run_engine`].
@@ -246,12 +247,8 @@ impl Publisher {
             }
             self.evaluate_slos(snap.time_s);
         }
-        let fresh: Vec<String> = self
-            .flight
-            .take_bundles()
-            .iter()
-            .map(|b| b.to_json())
-            .collect();
+        // Only the newest bundle is served, so only it is rendered.
+        let fresh = self.flight.take_bundles().pop().map(|b| b.to_json());
         self.recorder.add(metrics::SERVER_SNAPSHOTS_TOTAL, None, 1);
         let Ok(mut guard) = store.lock() else {
             return;
@@ -267,7 +264,9 @@ impl Publisher {
                 },
             );
         }
-        guard.bundles.extend(fresh);
+        if fresh.is_some() {
+            guard.bundle = fresh;
+        }
         guard.log.push(snap);
         if guard.log.len() > self.log_cap.max(1) {
             let excess = guard.log.len() - self.log_cap.max(1);
@@ -323,5 +322,63 @@ impl Publisher {
                 f64::from(slo.state().code()),
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use obs::slo::SloTable;
+    use tagbreathe::flight::TriggerConfig;
+
+    fn publisher(registry: &Arc<Registry>) -> Result<Publisher, &'static str> {
+        Ok(Publisher {
+            flight: FlightDiagnostics::new(64, TriggerConfig::default_config())?,
+            recorder: SharedRecorder::new(registry.clone()),
+            registry: registry.clone(),
+            slo: Arc::new(Mutex::new(SloTable::new())),
+            shards: 1,
+            log_cap: 16,
+            total_clock: WatermarkClock::new(16, 0.1),
+        })
+    }
+
+    fn capture(publisher: &mut Publisher, user: u64) {
+        let anomaly = Anomaly {
+            kind: AnomalyKind::SloBreach,
+            user,
+            time_s: 1.0,
+            value: 1.0,
+            reference: 0.0,
+        };
+        publisher
+            .flight
+            .capture_anomaly(anomaly, publisher.recorder.as_dyn());
+    }
+
+    fn snap(time_s: f64) -> RateSnapshot {
+        RateSnapshot {
+            time_s,
+            rates_bpm: BTreeMap::new(),
+            effort_rms: BTreeMap::new(),
+        }
+    }
+
+    #[test]
+    fn store_keeps_only_the_newest_bundle() -> Result<(), &'static str> {
+        let registry = Arc::new(Registry::new());
+        let mut publisher = publisher(&registry)?;
+        let store = Mutex::new(SnapshotStore::default());
+        capture(&mut publisher, 7);
+        capture(&mut publisher, 8);
+        publisher.publish(&store, snap(1.0));
+        capture(&mut publisher, 9);
+        publisher.publish(&store, snap(2.0));
+        publisher.publish(&store, snap(3.0));
+        let guard = store.lock().map_err(|_| "poisoned")?;
+        let bundle = guard.bundle.as_deref().ok_or("no bundle kept")?;
+        assert!(bundle.contains("\"user\": 9,"), "{bundle}");
+        assert!(!bundle.contains("\"user\": 8,"), "{bundle}");
+        Ok(())
     }
 }

@@ -134,7 +134,7 @@ fn route(request_line: &str, state: &HttpState) -> (&'static str, &'static str, 
         "/status" => ("200 OK", "text/plain", render_status(state)),
         "/status.html" => ("200 OK", "text/html", render_status_html(state)),
         "/bundle" => match state.store.lock() {
-            Ok(guard) => match guard.bundles.last() {
+            Ok(guard) => match &guard.bundle {
                 Some(bundle) => ("200 OK", "application/json", bundle.clone()),
                 None => (
                     "404 Not Found",

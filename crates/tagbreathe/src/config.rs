@@ -182,6 +182,19 @@ impl PipelineConfig {
         Ok(())
     }
 
+    /// Checks a streaming window and snapshot cadence: both must be
+    /// positive and finite (an infinite window never evicts).
+    pub(crate) fn validate_window(window_s: f64, every_s: f64) -> Result<(), InvalidConfigError> {
+        let what = if !(window_s > 0.0 && window_s.is_finite()) {
+            "analysis window must be positive and finite"
+        } else if !(every_s > 0.0 && every_s.is_finite()) {
+            "snapshot cadence must be positive and finite"
+        } else {
+            return Ok(());
+        };
+        Err(InvalidConfigError { what })
+    }
+
     /// Fused sample rate `1/Δt`, Hz.
     pub fn fused_rate_hz(&self) -> f64 {
         1.0 / self.fusion_bin_s

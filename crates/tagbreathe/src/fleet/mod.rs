@@ -19,10 +19,12 @@
 //!            └────────────┘                └──────────────┘
 //! ```
 //!
-//! * The **router** interns each EPC once ([`interner::IdentityCache`]),
-//!   partitions users over shards by hash ([`interner::shard_of_user`]),
-//!   and forwards every report over a bounded lock-free
-//!   [`ring`](ring::SpscRing) to the owning shard.
+//! * The **router** is the same [`Router`] that drives the inline
+//!   engine: it interns each EPC once ([`interner::IdentityCache`]),
+//!   partitions users over shards by hash ([`interner::shard_of_user`])
+//!   and runs the one cadence; its [`ShardPool`] executor forwards every
+//!   report over a bounded lock-free [`ring`](ring::SpscRing) to the
+//!   owning shard.
 //! * Each **shard worker** owns the [`shard::ShardCore`] slab for its
 //!   users; the ring is its only input, so no user state is ever shared
 //!   between threads.
@@ -52,13 +54,11 @@ pub mod shard;
 pub use ring::protocol;
 
 use crate::config::{InvalidConfigError, PipelineConfig};
-use crate::demux::{classify, LinkQualityTracker};
 use crate::metrics;
-use crate::pipeline::RateSnapshot;
+use crate::pipeline::{Completed, Context, Executor, RateSnapshot, Router};
 use epcgen2::epc::Epc96;
 use epcgen2::mapping::IdentityResolver;
 use epcgen2::report::TagReport;
-use interner::{shard_of_user, IdentityCache, Route};
 use msg::ShardMsg;
 use obs::freshness::{duration_ns, Stage, WatermarkClock};
 use obs::trace::SharedTracer;
@@ -109,7 +109,27 @@ struct ShardLink {
     next_slot: u32,
 }
 
-/// Multi-core sharded streaming engine.
+/// The threaded executor: one worker thread per shard, fed over SPSC
+/// rings, with snapshot parts merged in epoch order.
+#[derive(Debug)]
+pub struct ShardPool {
+    shards: Vec<ShardLink>,
+    results: mpsc::Receiver<ShardPart>,
+    pending: BTreeMap<u64, PendingEpoch>,
+    /// Broadcast instant per in-flight epoch (recorded runs only).
+    epoch_started: BTreeMap<u64, Instant>,
+    next_epoch: u64,
+    next_emit: u64,
+    /// Ingest stamps for the shard-ingest freshness stage (recorded runs
+    /// only; never touched on the disabled path).
+    lag_clock: WatermarkClock,
+    /// Start of the batch being routed (recorded runs only).
+    handoff_started: Option<Instant>,
+    finished: bool,
+}
+
+/// Multi-core sharded streaming engine: the
+/// [`Router`] over the [`ShardPool`] executor.
 ///
 /// Same contract as [`StreamingMonitor`](crate::pipeline::StreamingMonitor)
 /// — push time-ordered reports, get [`RateSnapshot`]s back at the cadence —
@@ -137,43 +157,16 @@ struct ShardLink {
 /// assert!(snaps.is_empty());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct FleetEngine<R> {
-    config: PipelineConfig,
-    resolver: R,
-    routes: IdentityCache,
-    /// Cold-path user → (shard, slot) assignments.
-    user_slots: BTreeMap<u64, (u32, u32)>,
-    shards: Vec<ShardLink>,
-    results: mpsc::Receiver<ShardPart>,
-    pending: BTreeMap<u64, PendingEpoch>,
-    /// Broadcast instant per in-flight epoch (recorded runs only).
-    epoch_started: BTreeMap<u64, Instant>,
-    next_epoch: u64,
-    next_emit: u64,
-    /// Merged snapshots ready to hand back, in epoch order.
-    done: Vec<RateSnapshot>,
-    window_s: f64,
-    update_every_s: f64,
-    watermark_s: f64,
-    next_update_s: f64,
-    last_evict_s: f64,
-    recorder: SharedRecorder,
-    recording: bool,
-    link_quality: LinkQualityTracker,
-    /// Ingest stamps for the shard-ingest freshness stage (recorded runs
-    /// only; never touched on the disabled path).
-    lag_clock: WatermarkClock,
-    finished: bool,
-}
+pub type FleetEngine<R> = Router<R, ShardPool>;
 
-impl<R: IdentityResolver> FleetEngine<R> {
-    /// Creates a fleet with `shards` worker threads and no metric sink.
+impl<R: IdentityResolver> Router<R, ShardPool> {
+    /// Creates a fleet with `shards` worker threads (0 means 1) and no
+    /// metric sink.
     ///
     /// # Errors
     ///
     /// Returns an error if the configuration is invalid or the window /
-    /// cadence are not positive.
+    /// cadence are not positive and finite.
     pub fn new(
         config: PipelineConfig,
         resolver: R,
@@ -191,14 +184,14 @@ impl<R: IdentityResolver> FleetEngine<R> {
         )
     }
 
-    /// Creates a fleet with `shards` worker threads, routing per-shard and
-    /// per-user metrics through `recorder` (workers get clones of the
-    /// handle, so counters aggregate across threads).
+    /// Creates a fleet with `shards` worker threads (0 means 1), routing
+    /// per-shard and per-user metrics through `recorder` (workers get
+    /// clones of the handle, so counters aggregate across threads).
     ///
     /// # Errors
     ///
     /// Returns an error if the configuration is invalid or the window /
-    /// cadence are not positive.
+    /// cadence are not positive and finite.
     pub fn observed(
         config: PipelineConfig,
         resolver: R,
@@ -207,11 +200,25 @@ impl<R: IdentityResolver> FleetEngine<R> {
         shards: usize,
         recorder: SharedRecorder,
     ) -> Result<Self, InvalidConfigError> {
-        config.validate()?;
-        if window_s.is_nan() || window_s <= 0.0 || update_every_s.is_nan() || update_every_s <= 0.0
-        {
-            return Err(crate::pipeline::validate_window_error());
-        }
+        Self::build(
+            config,
+            resolver,
+            window_s,
+            update_every_s,
+            recorder,
+            |config, recorder| ShardPool::spawn(config, recorder, window_s, update_every_s, shards),
+        )
+    }
+}
+
+impl ShardPool {
+    fn spawn(
+        config: &PipelineConfig,
+        recorder: &SharedRecorder,
+        window_s: f64,
+        update_every_s: f64,
+        shards: usize,
+    ) -> Self {
         let shards = shards.max(1);
         let (results_tx, results) = mpsc::channel();
         let mut links = Vec::with_capacity(shards);
@@ -237,205 +244,22 @@ impl<R: IdentityResolver> FleetEngine<R> {
                 next_slot: 0,
             });
         }
-        drop(results_tx);
-        let recording = recorder.enabled();
-        Ok(FleetEngine {
-            config,
-            resolver,
-            routes: IdentityCache::new(),
-            user_slots: BTreeMap::new(),
+        ShardPool {
             shards: links,
             results,
             pending: BTreeMap::new(),
             epoch_started: BTreeMap::new(),
             next_epoch: 0,
             next_emit: 0,
-            done: Vec::new(),
-            window_s,
-            update_every_s,
-            watermark_s: 0.0,
-            next_update_s: update_every_s,
-            last_evict_s: 0.0,
-            recorder,
-            recording,
-            link_quality: LinkQualityTracker::new(),
             lag_clock: WatermarkClock::new(512, update_every_s / 8.0),
+            handoff_started: None,
             finished: false,
-        })
-    }
-
-    /// Number of shard workers.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Users admitted (interned and assigned a shard) so far.
-    #[must_use]
-    pub fn routed_users(&self) -> usize {
-        self.user_slots.len()
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    /// Routes a batch of time-ordered reports and returns every merged
-    /// snapshot that completed its handoff. Snapshots for a cadence point
-    /// may surface in a later `push` (or in [`FleetEngine::finish`]) if a
-    /// shard has not caught up yet; their order is always epoch order.
-    pub fn push<I>(&mut self, reports: I) -> Vec<RateSnapshot>
-    where
-        I: IntoIterator<Item = TagReport>,
-    {
-        // One clock pair per push call (not per report) when recording:
-        // the ring-handoff stage is the router-side cost of this batch.
-        let handoff_started = if self.recording {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let mut routed_any = false;
-        for r in reports {
-            routed_any = true;
-            self.watermark_s = self.watermark_s.max(r.time_s);
-            if self.recording {
-                self.recorder.count(metrics::REPORTS_INGESTED, 1);
-                let _ = self.link_quality.observe(&r);
-                self.lag_clock.stamp(r.time_s);
-            }
-            let route = match self.routes.probe(r.epc.user_id(), r.epc.tag_id()) {
-                Some(route) => route,
-                None => self.admit_report(&r),
-            };
-            match route {
-                Route::User {
-                    shard,
-                    slot,
-                    tag_id,
-                } => {
-                    let words = ShardMsg::Report {
-                        slot,
-                        tag_id,
-                        antenna_port: r.antenna_port,
-                        channel_index: r.channel_index,
-                        time_s: r.time_s,
-                        phase_rad: r.phase_rad,
-                        rssi_dbm: r.rssi_dbm,
-                        doppler_hz: r.doppler_hz,
-                    }
-                    .encode();
-                    self.send_to(shard, &words);
-                    if self.recording {
-                        self.recorder.count(metrics::FLEET_REPORTS_ROUTED, 1);
-                    }
-                }
-                Route::Unknown => {
-                    if self.recording {
-                        self.recorder.count(metrics::REPORTS_UNKNOWN, 1);
-                    }
-                }
-            }
-            if self.watermark_s >= self.next_update_s {
-                self.request_due_snapshots();
-            }
-            if self.watermark_s - self.last_evict_s >= self.window_s.min(self.update_every_s) {
-                let words = ShardMsg::Evict {
-                    watermark_s: self.watermark_s,
-                }
-                .encode();
-                self.broadcast(&words);
-                self.last_evict_s = self.watermark_s;
-            }
         }
-        if let (Some(started), true) = (handoff_started, routed_any) {
-            self.recorder.observe(
-                metrics::SNAPSHOT_LAG_NS,
-                Some(Label::stage(Stage::RingHandoff.code())),
-                duration_ns(started.elapsed()),
-            );
-        }
-        self.drain_results();
-        std::mem::take(&mut self.done)
-    }
-
-    /// Flushes the fleet: waits for every in-flight snapshot part, joins
-    /// the workers and returns the remaining merged snapshots.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<RateSnapshot> {
-        self.shutdown();
-        std::mem::take(&mut self.done)
-    }
-
-    /// Cold path on a route-cache miss: resolve, partition to a shard,
-    /// assign a dense slot, tell the shard, cache the route.
-    fn admit_report(&mut self, r: &TagReport) -> Route {
-        let route = match classify(&self.resolver, r) {
-            Some((user_id, tag_id)) => {
-                let (shard, slot) = match self.user_slots.get(&user_id) {
-                    Some(&assigned) => assigned,
-                    None => {
-                        let shard = shard_of_user(user_id, self.shards.len());
-                        let slot = self.assign_slot(shard);
-                        self.user_slots.insert(user_id, (shard, slot));
-                        let words = ShardMsg::Admit { slot, user_id }.encode();
-                        self.send_to(shard, &words);
-                        (shard, slot)
-                    }
-                };
-                Route::User {
-                    shard,
-                    slot,
-                    tag_id,
-                }
-            }
-            None => Route::Unknown,
-        };
-        self.routes
-            .admit_route(r.epc.user_id(), r.epc.tag_id(), route);
-        route
-    }
-}
-
-impl<R> FleetEngine<R> {
-    fn assign_slot(&mut self, shard: u32) -> u32 {
-        match self.shards.get_mut(shard as usize) {
-            Some(link) => {
-                let slot = link.next_slot;
-                link.next_slot = link.next_slot.wrapping_add(1);
-                slot
-            }
-            None => 0,
-        }
-    }
-
-    /// Broadcasts a snapshot request for every due cadence point. The
-    /// request carries the current watermark (shards evict to it first)
-    /// and a monotonically increasing epoch for ordered merging.
-    fn request_due_snapshots(&mut self) {
-        while self.watermark_s >= self.next_update_s {
-            let words = ShardMsg::Snapshot {
-                watermark_s: self.watermark_s,
-                time_s: self.next_update_s,
-                epoch: self.next_epoch,
-            }
-            .encode();
-            self.broadcast(&words);
-            if self.recording {
-                self.epoch_started.insert(self.next_epoch, Instant::now());
-            }
-            self.next_epoch += 1;
-            self.last_evict_s = self.watermark_s;
-            self.next_update_s += self.update_every_s;
-        }
-        self.drain_results();
     }
 
     /// Blocking ring send with stall accounting: a full ring applies
     /// bounded backpressure to the router instead of shedding reports.
-    fn send_to(&mut self, shard: u32, words: &[u64; SLOT_WORDS]) {
+    fn send_to(&mut self, shard: u32, words: &[u64; SLOT_WORDS], ctx: &Context) {
         let Some(link) = self.shards.get_mut(shard as usize) else {
             return;
         };
@@ -444,8 +268,8 @@ impl<R> FleetEngine<R> {
             stalls += 1;
             thread::yield_now();
         }
-        if stalls > 0 && self.recording {
-            self.recorder.add(
+        if stalls > 0 && ctx.recording {
+            ctx.recorder.add(
                 metrics::FLEET_RING_STALLS,
                 Some(Label::shard(shard)),
                 stalls,
@@ -453,26 +277,20 @@ impl<R> FleetEngine<R> {
         }
     }
 
-    fn broadcast(&mut self, words: &[u64; SLOT_WORDS]) {
+    fn broadcast(&mut self, words: &[u64; SLOT_WORDS], ctx: &Context) {
         for shard in 0..u32::try_from(self.shards.len()).unwrap_or(0) {
-            self.send_to(shard, words);
+            self.send_to(shard, words, ctx);
         }
     }
 
-    fn drain_results(&mut self) {
-        while let Ok(part) = self.results.try_recv() {
-            self.absorb(part);
-        }
-    }
-
-    fn absorb(&mut self, mut part: ShardPart) {
-        if self.recording {
+    fn absorb(&mut self, mut part: ShardPart, ctx: &Context) {
+        if ctx.recording {
             let label = Some(Label::shard(part.shard));
-            self.recorder
+            ctx.recorder
                 .set_gauge(metrics::FLEET_RING_DEPTH, label, part.ring_depth as f64);
-            self.recorder
+            ctx.recorder
                 .set_gauge(metrics::FLEET_SHARD_USERS, label, part.occupancy as f64);
-            self.recorder.set_gauge(
+            ctx.recorder.set_gauge(
                 metrics::FLEET_RESIDENT_BYTES,
                 label,
                 part.resident_bytes as f64,
@@ -485,63 +303,52 @@ impl<R> FleetEngine<R> {
         entry.effort_rms.append(&mut part.effort_rms);
         entry.occupancy += part.occupancy;
         entry.state_cells += part.state_cells;
-        self.flush_ready();
     }
 
-    /// Emits every epoch whose parts have all arrived, in epoch order —
-    /// the "order-pinned merge" that makes fleet output deterministic.
-    fn flush_ready(&mut self) {
-        loop {
-            let complete = self
-                .pending
-                .get(&self.next_emit)
-                .is_some_and(|e| e.parts == self.shards.len());
-            if !complete {
-                return;
+    /// The next epoch whose parts have all arrived, in epoch order — the
+    /// "order-pinned merge" that makes fleet output deterministic.
+    fn pop_ready(&mut self, ctx: &Context) -> Option<Completed> {
+        let complete = self
+            .pending
+            .get(&self.next_emit)
+            .is_some_and(|e| e.parts == self.shards.len());
+        if !complete {
+            return None;
+        }
+        let epoch = self.pending.remove(&self.next_emit)?;
+        if ctx.recording {
+            let rec = ctx.recorder.as_dyn();
+            if let Some(lag) = self.lag_clock.lag(epoch.time_s) {
+                rec.observe(
+                    metrics::SNAPSHOT_LAG_NS,
+                    Some(Label::stage(Stage::ShardIngest.code())),
+                    duration_ns(lag),
+                );
             }
-            let Some(epoch) = self.pending.remove(&self.next_emit) else {
-                return;
-            };
-            if self.recording {
-                if let Some(lag) = self.lag_clock.lag(epoch.time_s) {
-                    self.recorder.observe(
-                        metrics::SNAPSHOT_LAG_NS,
-                        Some(Label::stage(Stage::ShardIngest.code())),
-                        duration_ns(lag),
-                    );
-                }
-                let rec = self.recorder.as_dyn();
-                if let Some(started) = self.epoch_started.remove(&self.next_emit) {
-                    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    rec.record(metrics::FLEET_HANDOFF_LATENCY_NS, ns);
-                    rec.observe(
-                        metrics::SNAPSHOT_LAG_NS,
-                        Some(Label::stage(Stage::EpochMerge.code())),
-                        ns,
-                    );
-                }
-                rec.count(metrics::SNAPSHOTS, 1);
-                rec.count(metrics::RATES_REPORTED, epoch.rates_bpm.len() as u64);
-                let failures = epoch.occupancy.saturating_sub(epoch.rates_bpm.len());
-                if failures > 0 {
-                    rec.count(metrics::ANALYSIS_FAILURES, failures as u64);
-                }
-                rec.gauge(metrics::USERS_TRACKED, epoch.occupancy as f64);
-                rec.gauge(metrics::STATE_CELLS, epoch.state_cells as f64);
-                self.link_quality.publish(rec);
+            if let Some(started) = self.epoch_started.remove(&self.next_emit) {
+                let ns = duration_ns(started.elapsed());
+                rec.record(metrics::FLEET_HANDOFF_LATENCY_NS, ns);
+                rec.observe(
+                    metrics::SNAPSHOT_LAG_NS,
+                    Some(Label::stage(Stage::EpochMerge.code())),
+                    ns,
+                );
             }
-            self.done.push(RateSnapshot {
+        }
+        self.next_emit += 1;
+        Some(Completed {
+            snapshot: RateSnapshot {
                 time_s: epoch.time_s,
                 rates_bpm: epoch.rates_bpm,
                 effort_rms: epoch.effort_rms,
-            });
-            self.next_emit += 1;
-        }
+            },
+            occupancy: epoch.occupancy,
+            state_cells: epoch.state_cells,
+        })
     }
 
-    /// Idempotent teardown: broadcast `Finish`, join workers, absorb every
-    /// remaining part.
-    fn shutdown(&mut self) {
+    /// Idempotent teardown: broadcast `Finish` and join the workers.
+    fn stop(&mut self) {
         if self.finished {
             return;
         }
@@ -557,13 +364,101 @@ impl<R> FleetEngine<R> {
                 let _ = worker.join();
             }
         }
-        self.drain_results();
     }
 }
 
-impl<R> Drop for FleetEngine<R> {
+impl crate::pipeline::sealed::Sealed for ShardPool {}
+
+impl Executor for ShardPool {
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Assigns the next slot on `shard` and tells the shard.
+    fn admit(&mut self, shard: u32, user_id: u64, ctx: &Context) -> u32 {
+        let Some(link) = self.shards.get_mut(shard as usize) else {
+            return 0;
+        };
+        let slot = link.next_slot;
+        link.next_slot = link.next_slot.wrapping_add(1);
+        self.send_to(shard, &ShardMsg::Admit { slot, user_id }.encode(), ctx);
+        slot
+    }
+
+    fn deliver(&mut self, shard: u32, slot: u32, tag_id: u32, r: &TagReport, ctx: &Context) {
+        let words = ShardMsg::Report {
+            slot,
+            tag_id,
+            antenna_port: r.antenna_port,
+            channel_index: r.channel_index,
+            time_s: r.time_s,
+            phase_rad: r.phase_rad,
+            rssi_dbm: r.rssi_dbm,
+            doppler_hz: r.doppler_hz,
+        }
+        .encode();
+        self.send_to(shard, &words, ctx);
+        if ctx.recording {
+            ctx.recorder.count(metrics::FLEET_REPORTS_ROUTED, 1);
+        }
+    }
+
+    fn stamp(&mut self, time_s: f64) {
+        self.lag_clock.stamp(time_s);
+    }
+
+    fn evict(&mut self, watermark_s: f64, ctx: &Context) {
+        self.broadcast(&ShardMsg::Evict { watermark_s }.encode(), ctx);
+    }
+
+    /// Broadcasts the request in-stream; shards evict to the watermark,
+    /// analyse and reply with one part each for the epoch merge.
+    fn snapshot(&mut self, watermark_s: f64, time_s: f64, ctx: &Context) -> Option<Completed> {
+        let words = ShardMsg::Snapshot {
+            watermark_s,
+            time_s,
+            epoch: self.next_epoch,
+        }
+        .encode();
+        self.broadcast(&words, ctx);
+        if ctx.recording {
+            self.epoch_started.insert(self.next_epoch, Instant::now());
+        }
+        self.next_epoch += 1;
+        None
+    }
+
+    fn poll(&mut self, ctx: &Context) -> Option<Completed> {
+        while let Ok(part) = self.results.try_recv() {
+            self.absorb(part, ctx);
+        }
+        self.pop_ready(ctx)
+    }
+
+    /// One clock pair per push call (not per report) when recording: the
+    /// ring-handoff stage is the router-side cost of the batch.
+    fn begin_batch(&mut self, ctx: &Context) {
+        self.handoff_started = ctx.recording.then(Instant::now);
+    }
+
+    fn end_batch(&mut self, routed_any: bool, ctx: &Context) {
+        if let (Some(started), true) = (self.handoff_started.take(), routed_any) {
+            ctx.recorder.observe(
+                metrics::SNAPSHOT_LAG_NS,
+                Some(Label::stage(Stage::RingHandoff.code())),
+                duration_ns(started.elapsed()),
+            );
+        }
+    }
+
+    fn finish(&mut self, _ctx: &Context) {
+        self.stop();
+    }
+}
+
+impl Drop for ShardPool {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop();
     }
 }
 

@@ -19,9 +19,10 @@
 //!
 //! Stages 2–3 are stateful incremental operators wired into one per-user
 //! graph ([`operators::UserStreamState`]); [`BreathMonitor`] (batch) and
-//! [`pipeline::StreamingMonitor`] (real time, plus the multi-threaded
-//! pipelined mode) are thin drivers over that same graph, so both paths
-//! share a single implementation of the paper's math.
+//! the real-time [`pipeline::Router`] — inline as
+//! [`pipeline::StreamingMonitor`], sharded over threads as
+//! [`fleet::FleetEngine`] — are thin drivers over that same graph, so
+//! every path shares a single implementation of the paper's math.
 //! [`baseline`] holds the RSSI/Doppler comparison estimators, and
 //! [`flight`] turns the observability layer's flight recorder into
 //! anomaly-triggered, replayable diagnostic bundles.
@@ -83,8 +84,6 @@ pub use monitor::{AnalysisFailure, AnalysisReport, BreathMonitor, UserAnalysis};
 pub use operators::{UserSnapshot, UserStreamState};
 pub use patterns::{analyze_pattern, Breath, PatternAnalysis, PatternClass};
 pub use pipeline::{RateSnapshot, StreamingMonitor};
-pub use quality::{
-    assess, assess_observed, assess_traced, Confidence, QualityReport, QualityThresholds,
-};
+pub use quality::{assess, assess_traced, Confidence, QualityReport, QualityThresholds};
 pub use rate::{RateEstimate, RatePoint};
 pub use series::TimeSeries;

@@ -17,6 +17,10 @@ pub const REPORTS_INGESTED: &str = "tagbreathe_reports_ingested_total";
 /// dropped by the demultiplexer.
 pub const REPORTS_UNKNOWN: &str = "tagbreathe_reports_unknown_total";
 
+/// Counter: reports dropped at ingest because their timestamp was NaN or
+/// infinite — such a report can be neither ordered nor windowed.
+pub const REPORTS_NONFINITE: &str = "tagbreathe_reports_nonfinite_total";
+
 /// Counter: reports pushed into a per-user operator graph.
 pub const GRAPH_REPORTS: &str = "tagbreathe_graph_reports_total";
 
@@ -138,6 +142,7 @@ pub const FLEET_RESIDENT_BYTES: &str = "tagbreathe_fleet_resident_bytes";
 pub const ALL: &[&str] = &[
     REPORTS_INGESTED,
     REPORTS_UNKNOWN,
+    REPORTS_NONFINITE,
     GRAPH_REPORTS,
     PHASE_INCREMENTS,
     PHASE_REJECTS,

@@ -183,26 +183,15 @@ impl BreathMonitor {
         reports: &[TagReport],
         resolver: &R,
     ) -> AnalysisReport {
-        self.analyze_observed(reports, resolver, &NoopRecorder)
+        self.analyze_traced(reports, resolver, &NoopRecorder, &NoopTracer)
     }
 
-    /// [`BreathMonitor::analyze`] with per-stage metrics: demux / fold /
-    /// analysis-tail stage timers plus ingest, failure and rate counters.
-    /// Output is identical to `analyze` — the recorder only observes.
-    pub fn analyze_observed<R: IdentityResolver>(
-        &self,
-        reports: &[TagReport],
-        resolver: &R,
-        rec: &dyn Recorder,
-    ) -> AnalysisReport {
-        self.analyze_traced(reports, resolver, rec, &NoopTracer)
-    }
-
-    /// [`BreathMonitor::analyze_observed`] plus flight-recorder events:
-    /// `demux` / `fold` / `analyze` spans, per-report phase accept /
-    /// reject instants from the operator graph, and one `rate` instant
-    /// per estimated user. Output is identical to `analyze` — recorder
-    /// and tracer only observe.
+    /// [`BreathMonitor::analyze`] with per-stage metrics (demux / fold /
+    /// analysis-tail stage timers plus ingest, failure and rate counters)
+    /// and flight-recorder events (`demux` / `fold` / `analyze` spans,
+    /// per-report phase accept / reject instants from the operator graph,
+    /// and one `rate` instant per estimated user). Output is identical to
+    /// `analyze` — recorder and tracer only observe.
     pub fn analyze_traced<R: IdentityResolver>(
         &self,
         reports: &[TagReport],

@@ -22,9 +22,10 @@
 //! everything behind the analysis window and drops tags silent past the
 //! phase gap, so memory is bounded by window contents — not stream length.
 //!
-//! Instrumentation: the `*_observed` variants take an [`obs::Recorder`]
-//! and count graph pushes, phase-unwrap accepts/rejects, fusion-bin churn
-//! and evictions; the plain methods delegate with a no-op recorder.
+//! Instrumentation: the `*_traced` / `*_observed` variants take an
+//! [`obs::Recorder`] and count graph pushes, phase-unwrap
+//! accepts/rejects, fusion-bin churn and evictions; the plain methods
+//! delegate with a no-op recorder.
 //!
 //! # Examples
 //!
@@ -218,29 +219,17 @@ impl UserStreamState {
     /// Reports whose channel lies outside the configured plan still update
     /// the tag statistics but produce no displacement.
     pub fn push(&mut self, tag_id: u32, report: &TagReport, config: &PipelineConfig) {
-        self.push_observed(tag_id, report, config, &NoopRecorder);
+        self.push_traced(0, tag_id, report, config, &NoopRecorder, &NoopTracer);
     }
 
-    /// [`UserStreamState::push`] with per-stage metrics: graph reports,
+    /// [`UserStreamState::push`] with per-stage metrics (graph reports,
     /// Eq. (3) increments vs. rejects, track samples and newly-created
-    /// fusion bins. With a disabled recorder this is exactly `push` plus
-    /// one `enabled()` check.
-    pub fn push_observed(
-        &mut self,
-        tag_id: u32,
-        report: &TagReport,
-        config: &PipelineConfig,
-        rec: &dyn Recorder,
-    ) {
-        self.push_traced(0, tag_id, report, config, rec, &NoopTracer);
-    }
-
-    /// [`UserStreamState::push_observed`] plus flight-recorder events:
-    /// every phase accept / reject and track sample becomes an instant
-    /// [`TraceEvent`] keyed by `user_id` / `tag_id` / antenna port /
-    /// channel. `user_id` only labels the events (the graph itself is
-    /// already per-user); with a disabled tracer this is exactly
-    /// `push_observed` plus one `enabled()` check.
+    /// fusion bins) and flight-recorder events: every phase accept /
+    /// reject and track sample becomes an instant [`TraceEvent`] keyed by
+    /// `user_id` / `tag_id` / antenna port / channel. `user_id` only
+    /// labels the events (the graph itself is already per-user); with a
+    /// disabled recorder and tracer this is exactly `push` plus two
+    /// `enabled()` checks.
     pub fn push_traced(
         &mut self,
         user_id: u64,

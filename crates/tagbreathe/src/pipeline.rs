@@ -1,37 +1,33 @@
-//! Real-time operation: sliding-window streaming and the multi-threaded
-//! pipelined mode.
+//! Real-time operation: one router, two executors.
 //!
 //! The paper's prototype processes low-level data "in a pipelined manner"
-//! and visualises breathing in real time (Section V). Two modes are
-//! provided:
-//!
-//! * [`StreamingMonitor`] — single-threaded incremental: push reports as
-//!   they arrive into the per-user operator graph
-//!   ([`crate::operators::UserStreamState`], the same graph the batch
-//!   [`crate::monitor::BreathMonitor`] drives); a sliding window (default
-//!   25 s, the paper's analysis window) is snapshotted at a fixed cadence.
-//!   Per-report cost is amortised O(1) — no window re-preprocessing — and
-//!   memory is bounded by window contents, not stream length;
-//! * [`spawn_pipelined`] — the ingest / analysis stages decoupled by
-//!   `std::sync::mpsc` channels onto a worker thread, so a slow analysis never
-//!   back-pressures the reader.
+//! and visualises breathing in real time (Section V). Every real-time
+//! engine is one [`Router`]: EPC interning, user admission, the
+//! watermark-driven cadence (a sliding window — default 25 s, the
+//! paper's analysis window — snapshotted at a fixed stream-time cadence)
+//! and the per-snapshot metrics. The per-user operator graphs
+//! ([`crate::operators::UserStreamState`], the same graph the batch
+//! [`crate::monitor::BreathMonitor`] drives) run in its [`Executor`]:
+//! inline on the caller's thread ([`StreamingMonitor`]) or on ring-fed
+//! shard threads ([`FleetEngine`](crate::fleet::FleetEngine)). Per-report
+//! cost is amortised O(1) and memory is bounded by window contents, not
+//! stream length.
 
-use crate::config::PipelineConfig;
+use crate::config::{InvalidConfigError, PipelineConfig};
 use crate::demux::{classify, LinkQualityTracker};
-use crate::fleet::interner::{IdentityCache, Route};
+use crate::fleet::interner::{shard_of_user, IdentityCache, Route};
 use crate::fleet::shard::ShardCore;
 use crate::metrics;
 use epcgen2::mapping::IdentityResolver;
 use epcgen2::report::TagReport;
+use obs::freshness::duration_ns;
 use obs::trace::{SharedTracer, TraceEvent, TraceSpan, Tracer};
 use obs::{Recorder, SharedRecorder};
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::thread;
 use std::time::Instant;
 
 /// A point-in-time estimate of every monitored user's breathing rate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RateSnapshot {
     /// Stream time at which the snapshot was produced, seconds.
     pub time_s: f64,
@@ -44,7 +40,460 @@ pub struct RateSnapshot {
     pub effort_rms: BTreeMap<u64, f64>,
 }
 
-/// Single-threaded sliding-window streaming monitor.
+/// The configuration and instrumentation handles a router lends its
+/// executor on every call, with the handles' `enabled()` bits cached so
+/// the no-op path pays one boolean test instead of a virtual call per
+/// metric site.
+#[derive(Debug)]
+pub struct Context {
+    pub(crate) config: PipelineConfig,
+    pub(crate) recorder: SharedRecorder,
+    pub(crate) recording: bool,
+    pub(crate) tracer: SharedTracer,
+    pub(crate) tracing: bool,
+}
+
+/// A finished snapshot as an executor hands it back, with the occupancy
+/// figures the router's per-snapshot metrics need (zero on unrecorded
+/// inline runs, where nobody reads them).
+#[derive(Debug)]
+pub struct Completed {
+    pub(crate) snapshot: RateSnapshot,
+    pub(crate) occupancy: usize,
+    pub(crate) state_cells: usize,
+}
+
+pub(crate) mod sealed {
+    /// Restricts [`super::Executor`] to this crate's two executors.
+    pub trait Sealed {}
+}
+
+/// Where a [`Router`]'s per-user work runs: [`Inline`] on the caller's
+/// thread, or [`ShardPool`](crate::fleet::ShardPool) on shard workers.
+/// Sealed; the router dispatches to it statically.
+pub trait Executor: sealed::Sealed {
+    /// Shards users are partitioned over.
+    fn shard_count(&self) -> usize;
+    /// Cold: binds `user_id` to the next dense slot on `shard` and
+    /// returns that slot.
+    fn admit(&mut self, shard: u32, user_id: u64, ctx: &Context) -> u32;
+    /// Hot: hands one resolved report to the user at (`shard`, `slot`).
+    fn deliver(&mut self, shard: u32, slot: u32, tag_id: u32, report: &TagReport, ctx: &Context);
+    /// Recorded runs only: a report entered the router at `time_s`.
+    fn stamp(&mut self, _time_s: f64) {}
+    /// Drops state older than the window behind `watermark_s`.
+    fn evict(&mut self, watermark_s: f64, ctx: &Context);
+    /// Evicts to `watermark_s`, then analyses every user for the
+    /// snapshot stamped `time_s`. Returns it if it finished synchronously;
+    /// otherwise it surfaces later from [`Executor::poll`].
+    fn snapshot(&mut self, watermark_s: f64, time_s: f64, ctx: &Context) -> Option<Completed>;
+    /// The next asynchronously finished snapshot, in request order.
+    fn poll(&mut self, _ctx: &Context) -> Option<Completed> {
+        None
+    }
+    /// Called before a pushed batch's first report.
+    fn begin_batch(&mut self, _ctx: &Context) {}
+    /// Called after a pushed batch's last report.
+    fn end_batch(&mut self, _routed_any: bool, _ctx: &Context) {}
+    /// Waits for every requested snapshot to become pollable.
+    fn finish(&mut self, _ctx: &Context) {}
+}
+
+/// The snapshot/eviction clock: the watermark (newest report time), the
+/// next cadence point and the last eviction.
+#[derive(Debug, Clone, Copy)]
+struct Cadence {
+    window_s: f64,
+    update_every_s: f64,
+    /// The longest state may go unevicted: `min(window, cadence)`, so
+    /// memory stays bounded even when the cadence is long.
+    evict_every_s: f64,
+    watermark_s: f64,
+    next_update_s: f64,
+    last_evict_s: f64,
+}
+
+impl Cadence {
+    fn new(window_s: f64, update_every_s: f64) -> Self {
+        Cadence {
+            window_s,
+            update_every_s,
+            evict_every_s: window_s.min(update_every_s),
+            watermark_s: 0.0,
+            next_update_s: update_every_s,
+            last_evict_s: 0.0,
+        }
+    }
+
+    /// Pops the next cadence point the watermark has reached. After a
+    /// forward jump, points older than one window behind the watermark
+    /// are skipped (never the newest due one): every catch-up snapshot
+    /// evicts to the same watermark and analyses the same state, so they
+    /// carry no information — and a hostile `1e300` timestamp would
+    /// otherwise queue an unbounded number of them.
+    fn take_due(&mut self) -> Option<f64> {
+        if self.watermark_s < self.next_update_s {
+            return None;
+        }
+        let behind = (self.watermark_s - self.window_s - self.next_update_s) / self.update_every_s;
+        let due = (self.watermark_s - self.next_update_s) / self.update_every_s;
+        let skip = behind.ceil().min(due.floor());
+        if skip >= 1.0 {
+            self.next_update_s += skip * self.update_every_s;
+        }
+        let time_s = self.next_update_s;
+        let next = time_s + self.update_every_s;
+        // Where one step no longer moves the clock, resume just past the
+        // watermark instead of re-emitting this point forever.
+        self.next_update_s = if next > time_s {
+            next
+        } else {
+            self.watermark_s.max(time_s).next_up()
+        };
+        self.last_evict_s = self.watermark_s;
+        Some(time_s)
+    }
+}
+
+/// The real-time engine: EPC interning, user admission, the cadence
+/// machine and per-snapshot metrics, over an [`Executor`] `X` that runs
+/// the per-user work. Use it through its two instantiations,
+/// [`StreamingMonitor`] and [`FleetEngine`](crate::fleet::FleetEngine).
+#[derive(Debug)]
+pub struct Router<R, X> {
+    resolver: R,
+    /// Hot-path EPC → route cache; consulted before the resolver.
+    routes: IdentityCache,
+    /// Cold-path user → (shard, slot) assignments.
+    user_slots: BTreeMap<u64, (u32, u32)>,
+    exec: X,
+    cadence: Cadence,
+    ctx: Context,
+    link_quality: LinkQualityTracker,
+    /// Snapshots finished but not yet returned.
+    pending: Vec<RateSnapshot>,
+}
+
+impl<R: IdentityResolver, X: Executor> Router<R, X> {
+    /// Validates the configuration, window and cadence, then builds the
+    /// executor.
+    pub(crate) fn build(
+        config: PipelineConfig,
+        resolver: R,
+        window_s: f64,
+        update_every_s: f64,
+        recorder: SharedRecorder,
+        exec: impl FnOnce(&PipelineConfig, &SharedRecorder) -> X,
+    ) -> Result<Self, InvalidConfigError> {
+        config.validate()?;
+        PipelineConfig::validate_window(window_s, update_every_s)?;
+        let exec = exec(&config, &recorder);
+        Ok(Router {
+            resolver,
+            routes: IdentityCache::new(),
+            user_slots: BTreeMap::new(),
+            exec,
+            cadence: Cadence::new(window_s, update_every_s),
+            ctx: Context {
+                config,
+                recording: recorder.enabled(),
+                recorder,
+                tracer: SharedTracer::noop(),
+                tracing: false,
+            },
+            link_quality: LinkQualityTracker::new(),
+            pending: Vec::new(),
+        })
+    }
+
+    /// Pushes a batch of time-ordered reports and returns every snapshot
+    /// that finished. Each report is routed straight into its user's
+    /// operator graph — amortised O(1) work per report; snapshots cost
+    /// O(window), never O(stream). On the fleet, a cadence point's
+    /// snapshot may surface in a later `push` (or in [`Router::finish`])
+    /// if a shard has not caught up yet; the order is always cadence
+    /// order.
+    ///
+    /// Reports whose `time_s` is NaN or infinite are dropped (and counted
+    /// as `tagbreathe_reports_nonfinite_total`).
+    pub fn push<I>(&mut self, reports: I) -> Vec<RateSnapshot>
+    where
+        I: IntoIterator<Item = TagReport>,
+    {
+        self.exec.begin_batch(&self.ctx);
+        let mut routed_any = false;
+        for r in reports {
+            routed_any = true;
+            self.ingest_report(&r);
+        }
+        self.exec.end_batch(routed_any, &self.ctx);
+        self.collect();
+        std::mem::take(&mut self.pending)
+    }
+
+    /// Flushes the engine: waits for every in-flight snapshot, stops any
+    /// workers and returns the remaining snapshots.
+    #[must_use]
+    pub fn finish(mut self) -> Vec<RateSnapshot> {
+        self.exec.finish(&self.ctx);
+        self.collect();
+        std::mem::take(&mut self.pending)
+    }
+
+    /// Hot path: one report through admission, routing and the cadence.
+    fn ingest_report(&mut self, r: &TagReport) {
+        if !r.time_s.is_finite() {
+            if self.ctx.recording {
+                self.ctx.recorder.count(metrics::REPORTS_NONFINITE, 1);
+            }
+            return;
+        }
+        self.cadence.watermark_s = self.cadence.watermark_s.max(r.time_s);
+        if self.ctx.recording {
+            self.ctx.recorder.count(metrics::REPORTS_INGESTED, 1);
+            self.exec.stamp(r.time_s);
+        }
+        if self.ctx.recording || self.ctx.tracing {
+            let hop = self.link_quality.observe(r);
+            if let (true, Some(hop)) = (self.ctx.tracing, hop) {
+                self.ctx.tracer.emit(
+                    TraceEvent::instant("channel_hop", r.time_s)
+                        .with_port(hop.port)
+                        .with_channel(hop.to)
+                        .with_values(f64::from(hop.from), f64::from(hop.to)),
+                );
+            }
+        }
+        let route = match self.routes.probe(r.epc.user_id(), r.epc.tag_id()) {
+            Some(route) => route,
+            None => self.admit_report(r),
+        };
+        match route {
+            Route::User {
+                shard,
+                slot,
+                tag_id,
+            } => self.exec.deliver(shard, slot, tag_id, r, &self.ctx),
+            Route::Unknown => {
+                if self.ctx.recording {
+                    self.ctx.recorder.count(metrics::REPORTS_UNKNOWN, 1);
+                }
+                if self.ctx.tracing {
+                    self.ctx.tracer.emit(
+                        TraceEvent::instant("unknown_report", r.time_s)
+                            .with_port(r.antenna_port)
+                            .with_channel(r.channel_index),
+                    );
+                }
+            }
+        }
+        if self.cadence.watermark_s >= self.cadence.next_update_s {
+            self.emit_due();
+        }
+        if self.cadence.watermark_s - self.cadence.last_evict_s >= self.cadence.evict_every_s {
+            self.exec.evict(self.cadence.watermark_s, &self.ctx);
+            self.cadence.last_evict_s = self.cadence.watermark_s;
+        }
+    }
+
+    /// Cold path on a route-cache miss: resolve the EPC, assign a new
+    /// user a shard and slot, and cache the route (Unknown EPCs are
+    /// cached too, so item traffic stays O(1) per read).
+    fn admit_report(&mut self, r: &TagReport) -> Route {
+        let route = match classify(&self.resolver, r) {
+            Some((user_id, tag_id)) => {
+                let (shard, slot) = match self.user_slots.get(&user_id) {
+                    Some(&assigned) => assigned,
+                    None => {
+                        let shard = shard_of_user(user_id, self.exec.shard_count());
+                        let slot = self.exec.admit(shard, user_id, &self.ctx);
+                        self.user_slots.insert(user_id, (shard, slot));
+                        (shard, slot)
+                    }
+                };
+                Route::User {
+                    shard,
+                    slot,
+                    tag_id,
+                }
+            }
+            None => Route::Unknown,
+        };
+        self.routes
+            .admit_route(r.epc.user_id(), r.epc.tag_id(), route);
+        route
+    }
+
+    /// Cold path at a cadence boundary: requests every due snapshot.
+    fn emit_due(&mut self) {
+        while let Some(time_s) = self.cadence.take_due() {
+            if let Some(done) = self.request(time_s) {
+                self.complete(done);
+            }
+        }
+        self.collect();
+    }
+
+    /// Asks the executor for the snapshot at `time_s` over the window
+    /// ending at the watermark. Link quality is published here, at the
+    /// cadence point, so both executors report the same per-port gauges.
+    fn request(&mut self, time_s: f64) -> Option<Completed> {
+        let done = self
+            .exec
+            .snapshot(self.cadence.watermark_s, time_s, &self.ctx);
+        if self.ctx.recording {
+            self.link_quality.publish(self.ctx.recorder.as_dyn());
+        }
+        done
+    }
+
+    /// Moves every asynchronously finished snapshot to the output.
+    fn collect(&mut self) {
+        while let Some(done) = self.exec.poll(&self.ctx) {
+            self.complete(done);
+        }
+    }
+
+    /// Emits the per-snapshot metrics and one `rate` trace instant per
+    /// estimated user, then queues the snapshot for output. The snapshot
+    /// itself is untouched, so recorded, traced and no-op runs produce
+    /// identical output streams.
+    fn complete(&mut self, done: Completed) {
+        let snap = done.snapshot;
+        if self.ctx.recording {
+            let rec = self.ctx.recorder.as_dyn();
+            rec.count(metrics::SNAPSHOTS, 1);
+            rec.count(metrics::RATES_REPORTED, snap.rates_bpm.len() as u64);
+            let failures = done.occupancy.saturating_sub(snap.rates_bpm.len());
+            if failures > 0 {
+                rec.count(metrics::ANALYSIS_FAILURES, failures as u64);
+            }
+            rec.gauge(metrics::USERS_TRACKED, done.occupancy as f64);
+            rec.gauge(metrics::STATE_CELLS, done.state_cells as f64);
+        }
+        if self.ctx.tracing {
+            for (&user, &bpm) in &snap.rates_bpm {
+                let effort = snap.effort_rms.get(&user).copied().unwrap_or(0.0);
+                self.ctx.tracer.emit(
+                    TraceEvent::instant("rate", snap.time_s)
+                        .with_user(user)
+                        .with_values(bpm, effort),
+                );
+            }
+        }
+        self.pending.push(snap);
+    }
+
+    /// Number of shards users are partitioned over (1 inline).
+    #[must_use]
+    pub fn shard_count(&self) -> usize {
+        self.exec.shard_count()
+    }
+
+    /// Users admitted (interned and assigned a slot) so far.
+    #[must_use]
+    pub fn routed_users(&self) -> usize {
+        self.user_slots.len()
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &PipelineConfig {
+        &self.ctx.config
+    }
+
+    /// The attached recorder handle (no-op by default).
+    pub fn recorder(&self) -> &SharedRecorder {
+        &self.ctx.recorder
+    }
+
+    /// The attached tracer handle (no-op by default).
+    pub fn tracer(&self) -> &SharedTracer {
+        &self.ctx.tracer
+    }
+
+    /// Per-antenna-port link statistics (populated only while a recorder
+    /// or tracer is attached).
+    pub fn link_quality(&self) -> &LinkQualityTracker {
+        &self.link_quality
+    }
+}
+
+/// The inline executor: one [`ShardCore`] driven on the caller's thread.
+#[derive(Debug)]
+pub struct Inline {
+    core: ShardCore,
+    window_s: f64,
+}
+
+impl sealed::Sealed for Inline {}
+
+impl Executor for Inline {
+    fn shard_count(&self) -> usize {
+        1
+    }
+
+    fn admit(&mut self, _shard: u32, user_id: u64, _ctx: &Context) -> u32 {
+        self.core.admit_user(user_id)
+    }
+
+    fn deliver(&mut self, _shard: u32, slot: u32, tag_id: u32, report: &TagReport, ctx: &Context) {
+        self.core.ingest(
+            slot,
+            tag_id,
+            report,
+            &ctx.config,
+            ctx.recorder.as_dyn(),
+            ctx.tracer.as_dyn(),
+        );
+    }
+
+    fn evict(&mut self, watermark_s: f64, ctx: &Context) {
+        let _span = TraceSpan::start(ctx.tracer.as_dyn(), "evict", watermark_s);
+        let start = ctx.recording.then(Instant::now);
+        self.core.evict(
+            watermark_s,
+            self.window_s,
+            &ctx.config,
+            ctx.recorder.as_dyn(),
+        );
+        if let Some(start) = start {
+            ctx.recorder
+                .record(metrics::EVICT_LATENCY_NS, duration_ns(start.elapsed()));
+        }
+    }
+
+    /// Evicts then analyses synchronously, timing both when recording.
+    fn snapshot(&mut self, watermark_s: f64, time_s: f64, ctx: &Context) -> Option<Completed> {
+        self.evict(watermark_s, ctx);
+        let _span = TraceSpan::start(ctx.tracer.as_dyn(), "snapshot", time_s);
+        let start = ctx.recording.then(Instant::now);
+        let mut snapshot = RateSnapshot {
+            time_s,
+            ..RateSnapshot::default()
+        };
+        self.core.snapshot_into(
+            &ctx.config,
+            &mut snapshot.rates_bpm,
+            &mut snapshot.effort_rms,
+        );
+        let (occupancy, state_cells) = match start {
+            Some(start) => {
+                ctx.recorder
+                    .record(metrics::SNAPSHOT_LATENCY_NS, duration_ns(start.elapsed()));
+                (self.core.occupancy(), self.core.state_cells())
+            }
+            None => (0, 0),
+        };
+        Some(Completed {
+            snapshot,
+            occupancy,
+            state_cells,
+        })
+    }
+}
+
+/// Single-threaded sliding-window streaming monitor: the [`Router`] over
+/// the [`Inline`] executor.
 ///
 /// # Examples
 ///
@@ -62,72 +511,33 @@ pub struct RateSnapshot {
 /// assert!(sm.push(None::<tagbreathe::TagReport>.into_iter()).is_empty());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct StreamingMonitor<R> {
-    config: PipelineConfig,
-    resolver: R,
-    /// Hot-path EPC → route cache; consulted before the resolver.
-    routes: IdentityCache,
-    /// Cold-path user → dense slot map, for users wearing several tags.
-    user_slots: BTreeMap<u64, u32>,
-    /// The single shard this inline monitor drives.
-    core: ShardCore,
-    /// Snapshots that became due but have not been returned yet.
-    pending: Vec<RateSnapshot>,
-    window_s: f64,
-    update_every_s: f64,
-    watermark_s: f64,
-    next_update_s: f64,
-    last_evict_s: f64,
-    recorder: SharedRecorder,
-    /// Cached `recorder.enabled()` so the per-report no-op path pays one
-    /// boolean test instead of a virtual call per metric site.
-    recording: bool,
-    link_quality: LinkQualityTracker,
-    tracer: SharedTracer,
-    /// Cached `tracer.enabled()`, same role as `recording`.
-    tracing: bool,
-}
+pub type StreamingMonitor<R> = Router<R, Inline>;
 
-impl<R: IdentityResolver> StreamingMonitor<R> {
+impl<R: IdentityResolver> Router<R, Inline> {
     /// Creates a streaming monitor with an analysis window of `window_s`
     /// seconds, snapshotted every `update_every_s` seconds of stream time.
     ///
     /// # Errors
     ///
     /// Returns an error if the configuration is invalid or the window /
-    /// cadence are not positive.
+    /// cadence are not positive and finite.
     pub fn new(
         config: PipelineConfig,
         resolver: R,
         window_s: f64,
         update_every_s: f64,
-    ) -> Result<Self, crate::config::InvalidConfigError> {
-        config.validate()?;
-        // Reuse the config error type for the window constraints: they are
-        // configuration of the same pipeline.
-        if window_s.is_nan() || window_s <= 0.0 || update_every_s.is_nan() || update_every_s <= 0.0
-        {
-            return Err(validate_window_error());
-        }
-        Ok(StreamingMonitor {
+    ) -> Result<Self, InvalidConfigError> {
+        Self::build(
             config,
             resolver,
-            routes: IdentityCache::new(),
-            user_slots: BTreeMap::new(),
-            core: ShardCore::new(),
-            pending: Vec::new(),
             window_s,
             update_every_s,
-            watermark_s: 0.0,
-            next_update_s: update_every_s,
-            last_evict_s: 0.0,
-            recorder: SharedRecorder::noop(),
-            recording: false,
-            link_quality: LinkQualityTracker::new(),
-            tracer: SharedTracer::noop(),
-            tracing: false,
-        })
+            SharedRecorder::noop(),
+            |_, _| Inline {
+                core: ShardCore::new(),
+                window_s,
+            },
+        )
     }
 
     /// Attaches a metric sink (builder style). With the default no-op
@@ -158,14 +568,9 @@ impl<R: IdentityResolver> StreamingMonitor<R> {
     /// ```
     #[must_use]
     pub fn with_recorder(mut self, recorder: SharedRecorder) -> Self {
-        self.recording = recorder.enabled();
-        self.recorder = recorder;
+        self.ctx.recording = recorder.enabled();
+        self.ctx.recorder = recorder;
         self
-    }
-
-    /// The attached recorder handle (no-op by default).
-    pub fn recorder(&self) -> &SharedRecorder {
-        &self.recorder
     }
 
     /// Attaches a flight-recorder tracer (builder style). With the default
@@ -198,325 +603,39 @@ impl<R: IdentityResolver> StreamingMonitor<R> {
     /// ```
     #[must_use]
     pub fn with_tracer(mut self, tracer: SharedTracer) -> Self {
-        self.tracing = tracer.enabled();
-        self.tracer = tracer;
+        self.ctx.tracing = tracer.enabled();
+        self.ctx.tracer = tracer;
         self
-    }
-
-    /// The attached tracer handle (no-op by default).
-    pub fn tracer(&self) -> &SharedTracer {
-        &self.tracer
-    }
-
-    /// Per-antenna-port link statistics (populated only while a recorder
-    /// is attached).
-    pub fn link_quality(&self) -> &LinkQualityTracker {
-        &self.link_quality
-    }
-
-    /// Pushes a batch of reports (in time order) and returns any snapshots
-    /// that became due.
-    ///
-    /// Each report is routed straight into its user's operator graph —
-    /// amortised O(1) work per report; snapshots cost O(window), never
-    /// O(stream).
-    pub fn push<I>(&mut self, reports: I) -> Vec<RateSnapshot>
-    where
-        I: IntoIterator<Item = TagReport>,
-    {
-        for r in reports {
-            self.watermark_s = self.watermark_s.max(r.time_s);
-            if self.recording {
-                self.recorder.count(metrics::REPORTS_INGESTED, 1);
-            }
-            if self.recording || self.tracing {
-                let hop = self.link_quality.observe(&r);
-                if self.tracing {
-                    if let Some(hop) = hop {
-                        self.tracer.emit(
-                            TraceEvent::instant("channel_hop", r.time_s)
-                                .with_port(hop.port)
-                                .with_channel(hop.to)
-                                .with_values(f64::from(hop.from), f64::from(hop.to)),
-                        );
-                    }
-                }
-            }
-            let route = match self.routes.probe(r.epc.user_id(), r.epc.tag_id()) {
-                Some(route) => route,
-                None => self.admit_report(&r),
-            };
-            match route {
-                Route::User { slot, tag_id, .. } => {
-                    self.core.ingest(
-                        slot,
-                        tag_id,
-                        &r,
-                        &self.config,
-                        self.recorder.as_dyn(),
-                        self.tracer.as_dyn(),
-                    );
-                }
-                Route::Unknown => {
-                    if self.recording {
-                        self.recorder.count(metrics::REPORTS_UNKNOWN, 1);
-                    }
-                    if self.tracing {
-                        self.tracer.emit(
-                            TraceEvent::instant("unknown_report", r.time_s)
-                                .with_port(r.antenna_port)
-                                .with_channel(r.channel_index),
-                        );
-                    }
-                }
-            }
-            if self.watermark_s >= self.next_update_s {
-                self.emit_due();
-            }
-            // Keep state bounded even when the snapshot cadence is long
-            // relative to the window.
-            if self.watermark_s - self.last_evict_s >= self.window_s.min(self.update_every_s) {
-                self.evict();
-            }
-        }
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Cold path on a route-cache miss: resolve the EPC, intern the user
-    /// into the single inline shard, and cache the route (Unknown EPCs
-    /// are cached too, so item traffic stays O(1) per read).
-    fn admit_report(&mut self, r: &TagReport) -> Route {
-        let route = match classify(&self.resolver, r) {
-            Some((user_id, tag_id)) => {
-                let slot = match self.user_slots.get(&user_id) {
-                    Some(&slot) => slot,
-                    None => {
-                        let slot = self.core.admit_user(user_id);
-                        self.user_slots.insert(user_id, slot);
-                        slot
-                    }
-                };
-                Route::User {
-                    shard: 0,
-                    slot,
-                    tag_id,
-                }
-            }
-            None => Route::Unknown,
-        };
-        self.routes
-            .admit_route(r.epc.user_id(), r.epc.tag_id(), route);
-        route
-    }
-
-    /// Cold path at a cadence boundary: emits every due snapshot into the
-    /// pending buffer, advancing the update clock.
-    fn emit_due(&mut self) {
-        while self.watermark_s >= self.next_update_s {
-            self.evict();
-            let snap = self.snapshot_observed(self.next_update_s);
-            self.pending.push(snap);
-            self.next_update_s += self.update_every_s;
-        }
     }
 
     /// Forces an immediate snapshot over the current window.
     pub fn snapshot_now(&mut self) -> RateSnapshot {
-        self.evict();
-        self.snapshot_observed(self.watermark_s)
+        self.cadence.last_evict_s = self.cadence.watermark_s;
+        // Inline snapshots complete synchronously, and `pending` is empty
+        // between pushes, so the one queued snapshot is this one.
+        if let Some(done) = self.request(self.cadence.watermark_s) {
+            self.complete(done);
+        }
+        self.pending.pop().unwrap_or_default()
     }
 
     /// Retained state cells across all users — tag slots, per-channel
     /// phase references, buffered track samples and fusion bins. Bounded
     /// by window contents (plus the gap horizon), not stream length.
     pub fn buffered(&self) -> usize {
-        self.core.state_cells()
+        self.exec.core.state_cells()
     }
 
     /// Number of users currently holding state.
     pub fn tracked_users(&self) -> usize {
-        self.core.occupancy()
+        self.exec.core.occupancy()
     }
 
     /// Number of `(antenna_port, tag_id)` slots currently holding state
     /// across all users.
     pub fn tracked_tags(&self) -> usize {
-        self.core.tag_count()
+        self.exec.core.tag_count()
     }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    fn evict(&mut self) {
-        // A cheap clone of the handle so the span guard's borrow does not
-        // conflict with the mutable sweep below.
-        let tracer = self.tracer.clone();
-        let _span = TraceSpan::start(tracer.as_dyn(), "evict", self.watermark_s);
-        let start = if self.recording {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        self.core.evict(
-            self.watermark_s,
-            self.window_s,
-            &self.config,
-            self.recorder.as_dyn(),
-        );
-        self.last_evict_s = self.watermark_s;
-        if let Some(start) = start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.recorder.record(metrics::EVICT_LATENCY_NS, ns);
-        }
-    }
-
-    /// [`StreamingMonitor::snapshot`] plus bookkeeping metrics and trace
-    /// events (a `snapshot` span and one `rate` instant per estimated
-    /// user). The snapshot computation itself is untouched, so recorded,
-    /// traced and no-op runs produce identical output streams.
-    fn snapshot_observed(&self, time_s: f64) -> RateSnapshot {
-        if !self.recording && !self.tracing {
-            return self.snapshot(time_s);
-        }
-        let snap = {
-            let _span = TraceSpan::start(self.tracer.as_dyn(), "snapshot", time_s);
-            if self.recording {
-                let start = Instant::now();
-                let snap = self.snapshot(time_s);
-                let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let rec = self.recorder.as_dyn();
-                rec.record(metrics::SNAPSHOT_LATENCY_NS, ns);
-                rec.count(metrics::SNAPSHOTS, 1);
-                rec.count(metrics::RATES_REPORTED, snap.rates_bpm.len() as u64);
-                let failures = self.core.occupancy().saturating_sub(snap.rates_bpm.len());
-                if failures > 0 {
-                    rec.count(metrics::ANALYSIS_FAILURES, failures as u64);
-                }
-                rec.gauge(metrics::USERS_TRACKED, self.core.occupancy() as f64);
-                rec.gauge(metrics::STATE_CELLS, self.buffered() as f64);
-                self.link_quality.publish(rec);
-                snap
-            } else {
-                self.snapshot(time_s)
-            }
-        };
-        if self.tracing {
-            for (&user, &bpm) in &snap.rates_bpm {
-                let effort = snap.effort_rms.get(&user).copied().unwrap_or(0.0);
-                self.tracer.emit(
-                    TraceEvent::instant("rate", time_s)
-                        .with_user(user)
-                        .with_values(bpm, effort),
-                );
-            }
-        }
-        snap
-    }
-
-    fn snapshot(&self, time_s: f64) -> RateSnapshot {
-        let mut rates_bpm = BTreeMap::new();
-        let mut effort_rms = BTreeMap::new();
-        self.core
-            .snapshot_into(&self.config, &mut rates_bpm, &mut effort_rms);
-        RateSnapshot {
-            time_s,
-            rates_bpm,
-            effort_rms,
-        }
-    }
-}
-
-pub(crate) fn validate_window_error() -> crate::config::InvalidConfigError {
-    // Construct via the public validation path so the message is uniform.
-    let mut cfg = PipelineConfig::paper_default();
-    cfg.fusion_bin_s = -1.0;
-    cfg.validate().expect_err("intentionally invalid")
-}
-
-/// Handle to a pipelined monitor running on a worker thread.
-///
-/// Dropping the handle (or calling [`PipelinedHandle::finish`]) closes the
-/// ingest channel; the worker drains, emits a final snapshot and exits.
-#[derive(Debug)]
-pub struct PipelinedHandle {
-    ingest: Option<mpsc::Sender<TagReport>>,
-    snapshots: mpsc::Receiver<RateSnapshot>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl PipelinedHandle {
-    /// Sends one report into the pipeline.
-    ///
-    /// Returns `false` if the worker has already shut down.
-    pub fn send(&self, report: TagReport) -> bool {
-        self.ingest
-            .as_ref()
-            .map(|tx| tx.send(report).is_ok())
-            .unwrap_or(false)
-    }
-
-    /// Receives any snapshots produced so far without blocking.
-    pub fn poll_snapshots(&self) -> Vec<RateSnapshot> {
-        self.snapshots.try_iter().collect()
-    }
-
-    /// Closes ingest, waits for the worker, and returns all remaining
-    /// snapshots (including the final drain snapshot).
-    pub fn finish(mut self) -> Vec<RateSnapshot> {
-        self.ingest = None; // close channel
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
-        self.snapshots.try_iter().collect()
-    }
-}
-
-impl Drop for PipelinedHandle {
-    fn drop(&mut self) {
-        self.ingest = None;
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Spawns the pipelined monitor: ingest on the returned handle, analysis on
-/// a dedicated worker thread.
-///
-/// # Errors
-///
-/// Returns an error if the configuration is invalid (same rules as
-/// [`StreamingMonitor::new`]).
-pub fn spawn_pipelined<R>(
-    config: PipelineConfig,
-    resolver: R,
-    window_s: f64,
-    update_every_s: f64,
-) -> Result<PipelinedHandle, crate::config::InvalidConfigError>
-where
-    R: IdentityResolver + Send + 'static,
-{
-    let mut streaming = StreamingMonitor::new(config, resolver, window_s, update_every_s)?;
-    let (tx, rx) = mpsc::channel::<TagReport>();
-    let (out_tx, out_rx) = mpsc::channel::<RateSnapshot>();
-    let worker = thread::spawn(move || {
-        for report in rx.iter() {
-            for snap in streaming.push(std::iter::once(report)) {
-                if out_tx.send(snap).is_err() {
-                    return;
-                }
-            }
-        }
-        // Ingest closed: emit a final snapshot over the remaining window.
-        let _ = out_tx.send(streaming.snapshot_now());
-    });
-    Ok(PipelinedHandle {
-        ingest: Some(tx),
-        snapshots: out_rx,
-        worker: Some(worker),
-    })
 }
 
 #[cfg(test)]
@@ -628,66 +747,80 @@ mod tests {
     }
 
     #[test]
-    fn invalid_window_rejected() {
-        assert!(StreamingMonitor::new(
-            PipelineConfig::paper_default(),
-            EmbeddedIdentity::new([1]),
-            0.0,
-            5.0
-        )
-        .is_err());
-        assert!(StreamingMonitor::new(
-            PipelineConfig::paper_default(),
-            EmbeddedIdentity::new([1]),
-            25.0,
-            -1.0
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn pipelined_mode_matches_streaming_results() -> TestResult {
-        let reports = capture(40.0);
-        let handle = spawn_pipelined(
-            PipelineConfig::paper_default(),
-            EmbeddedIdentity::new([1]),
-            25.0,
-            10.0,
-        )?;
-        for r in &reports {
-            assert!(handle.send(*r));
+    fn invalid_window_and_cadence_say_what_is_wrong() {
+        let message = |window_s: f64, update_every_s: f64| {
+            StreamingMonitor::new(
+                PipelineConfig::paper_default(),
+                EmbeddedIdentity::new([1]),
+                window_s,
+                update_every_s,
+            )
+            .err()
+            .map(|e| e.to_string())
+            .unwrap_or_default()
+        };
+        for window_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                message(window_s, 5.0).contains("analysis window must be positive and finite"),
+                "window {window_s}: {}",
+                message(window_s, 5.0)
+            );
         }
-        let snaps = handle.finish();
-        assert!(!snaps.is_empty());
-        let last = snaps.last().ok_or("no snapshots")?;
-        let bpm = last
-            .rates_bpm
-            .get(&1)
-            .copied()
-            .ok_or("no rate in final snapshot")?;
-        assert!((bpm - 10.0).abs() < 1.5, "pipelined estimate {bpm}");
-        Ok(())
+        for cadence_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                message(25.0, cadence_s).contains("snapshot cadence must be positive and finite"),
+                "cadence {cadence_s}: {}",
+                message(25.0, cadence_s)
+            );
+        }
+        assert!(message(25.0, 5.0).is_empty());
     }
 
     #[test]
-    fn pipelined_send_after_finish_is_false() -> TestResult {
-        let handle = spawn_pipelined(
+    fn forward_jump_skips_catch_up_points_older_than_the_window() {
+        let mut cadence = Cadence::new(10.0, 1.0);
+        cadence.watermark_s = 3.5;
+        // A jump shorter than the window emits every point, as before.
+        let short: Vec<f64> = std::iter::from_fn(|| cadence.take_due()).collect();
+        assert_eq!(short, [1.0, 2.0, 3.0]);
+        // A jump past the window keeps only points within one window.
+        cadence.watermark_s = 100.5;
+        let long: Vec<f64> = std::iter::from_fn(|| cadence.take_due()).collect();
+        assert_eq!(long.first().copied(), Some(91.0));
+        assert_eq!(long.last().copied(), Some(100.0));
+        assert_eq!(long.len(), 10);
+        // Where a step cannot move the clock, one point is emitted.
+        cadence.watermark_s = 1e300;
+        assert_eq!(cadence.take_due(), Some(1e300));
+        assert_eq!(cadence.take_due(), None);
+    }
+
+    #[test]
+    fn hostile_timestamps_are_dropped_not_looped_on() -> TestResult {
+        let mut reports = capture(30.0);
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let mut sm = StreamingMonitor::new(
             PipelineConfig::paper_default(),
             EmbeddedIdentity::new([1]),
             25.0,
-            10.0,
-        )?;
-        let report = capture(1.0)[0];
-        assert!(handle.send(report));
-        let _ = handle.finish();
-        // handle consumed; construct another and drop it to exercise Drop.
-        let h2 = spawn_pipelined(
-            PipelineConfig::paper_default(),
-            EmbeddedIdentity::new([1]),
-            25.0,
-            10.0,
-        )?;
-        drop(h2);
+            5.0,
+        )?
+        .with_recorder(SharedRecorder::new(registry.clone()));
+        let first = reports.first().copied().ok_or("no reports")?;
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            reports.insert(reports.len() / 2, TagReport { time_s: t, ..first });
+        }
+        let snaps = sm.push(reports);
+        assert_eq!(registry.counter(metrics::REPORTS_NONFINITE), 3);
+        assert!(snaps.len() >= 5, "{} snapshots", snaps.len());
+        let late = sm.push([TagReport {
+            time_s: 1e300,
+            ..first
+        }]);
+        assert!(late.len() <= 6, "{} catch-up snapshots", late.len());
+        for snap in snaps.iter().chain(&late) {
+            assert!(snap.rates_bpm.values().all(|bpm| bpm.is_finite()));
+        }
         Ok(())
     }
 }

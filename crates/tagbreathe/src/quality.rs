@@ -103,36 +103,12 @@ pub fn assess(analysis: &UserAnalysis, thresholds: &QualityThresholds) -> Qualit
     }
 }
 
-/// [`assess`] with metrics: a `grade`-labelled confidence counter
+/// [`assess`] with metrics — a `grade`-labelled confidence counter
 /// (0 = low, 1 = medium, 2 = high) and a band-SNR histogram in
-/// thousandths. The returned report is identical to [`assess`]'s.
-pub fn assess_observed(
-    analysis: &UserAnalysis,
-    thresholds: &QualityThresholds,
-    rec: &dyn Recorder,
-) -> QualityReport {
-    let report = assess(analysis, thresholds);
-    if rec.enabled() {
-        let grade = match report.confidence {
-            Confidence::Low => 0,
-            Confidence::Medium => 1,
-            Confidence::High => 2,
-        };
-        rec.add(metrics::QUALITY_GRADES, Some(Label::new("grade", grade)), 1);
-        if report.band_snr.is_finite() && report.band_snr >= 0.0 {
-            // Clamp far below u64::MAX so the float→integer conversion
-            // stays exact and lossless for any realistic SNR.
-            let milli = (report.band_snr * 1000.0).round().min(1e15) as u64;
-            rec.record(metrics::QUALITY_BAND_SNR_MILLI, milli);
-        }
-    }
-    report
-}
-
-/// [`assess_observed`] plus one `quality_grade` instant [`TraceEvent`]
-/// keyed by `user_id` (grade code in `value_a`, band SNR in `value_b`,
-/// timestamped at the end of the assessed window). The returned report is
-/// identical to [`assess`]'s.
+/// thousandths — plus one `quality_grade` instant [`TraceEvent`] keyed by
+/// `user_id` (grade code in `value_a`, band SNR in `value_b`, timestamped
+/// at the end of the assessed window). The returned report is identical
+/// to [`assess`]'s.
 pub fn assess_traced(
     user_id: u64,
     analysis: &UserAnalysis,
@@ -140,13 +116,26 @@ pub fn assess_traced(
     rec: &dyn Recorder,
     tracer: &dyn Tracer,
 ) -> QualityReport {
-    let report = assess_observed(analysis, thresholds, rec);
+    let report = assess(analysis, thresholds);
+    let grade: u8 = match report.confidence {
+        Confidence::Low => 0,
+        Confidence::Medium => 1,
+        Confidence::High => 2,
+    };
+    if rec.enabled() {
+        rec.add(
+            metrics::QUALITY_GRADES,
+            Some(Label::new("grade", u64::from(grade))),
+            1,
+        );
+        if report.band_snr.is_finite() && report.band_snr >= 0.0 {
+            // Clamp far below u64::MAX so the float→integer conversion
+            // stays exact and lossless for any realistic SNR.
+            let milli = (report.band_snr * 1000.0).round().min(1e15) as u64;
+            rec.record(metrics::QUALITY_BAND_SNR_MILLI, milli);
+        }
+    }
     if tracer.enabled() {
-        let grade = match report.confidence {
-            Confidence::Low => 0.0,
-            Confidence::Medium => 1.0,
-            Confidence::High => 2.0,
-        };
         let signal = &analysis.breath_signal;
         let t = if signal.is_empty() {
             0.0
@@ -157,7 +146,7 @@ pub fn assess_traced(
             TraceEvent::instant("quality_grade", t)
                 .with_user(user_id)
                 .with_port(analysis.antenna_port)
-                .with_values(grade, report.band_snr),
+                .with_values(f64::from(grade), report.band_snr),
         );
     }
     report

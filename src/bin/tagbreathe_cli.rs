@@ -243,8 +243,9 @@ fn analyze(args: &[String]) -> Result<(), String> {
 
 fn metrics(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
+    use tagbreathe_suite::obs::trace::NoopTracer;
     use tagbreathe_suite::obs::{Registry, SharedRecorder};
-    use tagbreathe_suite::tagbreathe::quality::assess_observed;
+    use tagbreathe_suite::tagbreathe::quality::assess_traced;
 
     let (flags, _) = parse_flags(args)?;
     let users = get_usize(&flags, "users", 1)?;
@@ -285,16 +286,19 @@ fn metrics(args: &[String]) -> Result<(), String> {
     let _ = sm.push(reports.iter().copied());
 
     // Batch stage timers + per-estimate quality metrics.
-    let analysis = BreathMonitor::paper_default().analyze_observed(
+    let analysis = BreathMonitor::paper_default().analyze_traced(
         &reports,
         &EmbeddedIdentity::new(ids),
         registry.as_ref(),
+        &NoopTracer,
     );
-    for (_, user) in analysis.successes() {
-        assess_observed(
+    for (id, user) in analysis.successes() {
+        assess_traced(
+            id,
             user,
             &QualityThresholds::default_thresholds(),
             registry.as_ref(),
+            &NoopTracer,
         );
     }
 

@@ -383,6 +383,38 @@ mod wire_abuse {
     }
 
     #[test]
+    fn hostile_timestamps_cannot_wedge_the_engine() {
+        // NaN, ±inf and 1e300 stream times from one peer: the lane merge
+        // drops NaN, the engine drops the infinities and skips the 1e300
+        // jump's stale cadence points. Shutdown must still come back.
+        let handle = start_server();
+        let mut reports = super::capture(12.0, 9);
+        let template = reports[reports.len() / 2];
+        for time_s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            reports.push(super::TagReport { time_s, ..template });
+        }
+        let stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
+        let mut client = epcgen2::client::ReaderClient::connect(stream, 6, 0).expect("hello");
+        for chunk in reports.chunks(64) {
+            client.send_batch(chunk, 0.0).expect("batch");
+        }
+        client.goodbye().expect("goodbye");
+        let registry = handle.registry();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(handle.shutdown());
+        });
+        let snaps = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("engine wedged by a hostile timestamp");
+        assert!(snaps.len() >= 5, "only {} snapshots", snaps.len());
+        assert!(snaps
+            .iter()
+            .all(|s| s.rates_bpm.values().all(|bpm| bpm.is_finite())));
+        assert_eq!(registry.counter("tagbreathe_reports_nonfinite_total"), 2);
+    }
+
+    #[test]
     fn oversized_batch_count_is_rejected_cleanly() {
         // A frame whose Batch body claims more reports than it carries.
         let handle = start_server();

@@ -166,3 +166,102 @@ fn fleet_snapshots_drain_on_finish_even_mid_cadence() {
     let fleet = sharded(&reports, &ids, 4);
     assert_bit_identical(&reference, &fleet, "mid-cadence finish");
 }
+
+#[test]
+fn router_metrics_agree_across_executors() {
+    use std::sync::Arc;
+    use tagbreathe_suite::obs::Label;
+    use tagbreathe_suite::tagbreathe::metrics;
+
+    let (reports, ids) = capture_multi_user(30.0);
+    let inline = Arc::new(Registry::new());
+    let mut sm = StreamingMonitor::new(
+        PipelineConfig::paper_default(),
+        EmbeddedIdentity::new(ids.clone()),
+        WINDOW_S,
+        CADENCE_S,
+    )
+    .unwrap()
+    .with_recorder(SharedRecorder::new(inline.clone()));
+    let inline_snaps = sm.push(reports.iter().cloned());
+    assert!(
+        inline.counter(metrics::REPORTS_UNKNOWN) > 0,
+        "trace has items"
+    );
+    let port_gauges = |registry: &Registry| -> Vec<Option<u64>> {
+        (0..=4u8)
+            .flat_map(|port| {
+                [metrics::PORT_RSSI_EWMA_DBM, metrics::PORT_READ_RATE_HZ].map(|name| {
+                    registry
+                        .labeled_gauge(name, Some(Label::port(port)))
+                        .map(f64::to_bits)
+                })
+            })
+            .collect()
+    };
+    assert!(port_gauges(&inline).iter().any(Option::is_some));
+
+    for shards in [1, 2] {
+        let fleet_registry = Arc::new(Registry::new());
+        let mut fleet = FleetEngine::observed(
+            PipelineConfig::paper_default(),
+            EmbeddedIdentity::new(ids.clone()),
+            WINDOW_S,
+            CADENCE_S,
+            shards,
+            SharedRecorder::new(fleet_registry.clone()),
+        )
+        .unwrap();
+        let mut snaps = fleet.push(reports.iter().cloned());
+        snaps.extend(fleet.finish());
+        assert_bit_identical(&inline_snaps, &snaps, &format!("{shards} shards"));
+        for name in [
+            metrics::REPORTS_INGESTED,
+            metrics::REPORTS_UNKNOWN,
+            metrics::SNAPSHOTS,
+            metrics::RATES_REPORTED,
+        ] {
+            assert_eq!(
+                inline.counter(name),
+                fleet_registry.counter(name),
+                "{name} at {shards} shards"
+            );
+        }
+        assert_eq!(
+            port_gauges(&inline),
+            port_gauges(&fleet_registry),
+            "per-port link quality at {shards} shards"
+        );
+    }
+}
+
+#[test]
+fn hostile_timestamps_are_dropped_identically() {
+    let (mut reports, ids) = capture_multi_user(20.0);
+    let template = reports[reports.len() / 2];
+    for (k, time_s) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+        .into_iter()
+        .enumerate()
+    {
+        reports.insert(
+            reports.len() / 4 * (k + 1),
+            TagReport { time_s, ..template },
+        );
+    }
+    reports.push(TagReport {
+        time_s: 1e300,
+        ..template
+    });
+    let inline = single_thread(&reports, &ids);
+    assert!(inline.len() >= 4, "only {} snapshots", inline.len());
+    assert!(inline
+        .iter()
+        .all(|s| s.rates_bpm.values().all(|bpm| bpm.is_finite())));
+    for shards in [1, 2] {
+        assert_bit_identical(
+            &inline,
+            &sharded(&reports, &ids, shards),
+            &format!("hostile trace at {shards} shards"),
+        );
+    }
+}

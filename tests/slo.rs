@@ -195,10 +195,21 @@ fn clock_skew_gauge_tracks_a_deliberately_skewed_reader() {
     .join()
     .expect("feeder");
 
-    let skew = registry.labeled_gauge(
-        server::metrics::SERVER_READER_CLOCK_SKEW_S,
-        Some(Label::reader(1)),
-    );
+    // The session thread sets the gauge as it reads the frames, which
+    // may be after the feeder has hung up: wait for it (bounded).
+    let skew_gauge = || {
+        registry.labeled_gauge(
+            server::metrics::SERVER_READER_CLOCK_SKEW_S,
+            Some(Label::reader(1)),
+        )
+    };
+    for _ in 0..200 {
+        if skew_gauge().is_some_and(|s| s < -60.0) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    let skew = skew_gauge();
     assert!(
         skew.is_some_and(|s| s < -60.0),
         "skew gauge must reflect the injected offset, got {skew:?}"
