@@ -52,7 +52,8 @@ pub enum Stage {
     /// Server engine ingest → release from the reader merge lanes.
     LaneMerge = 1,
     /// Wall time spent handing one report batch onto the shard rings
-    /// (routing plus bounded-backpressure spins).
+    /// (routing, bounded-backpressure waits and the end-of-batch wake of
+    /// the shard workers).
     RingHandoff = 2,
     /// Fleet ingest → emission of the covering merged snapshot (ring
     /// transit, shard processing and cadence wait).

@@ -17,8 +17,9 @@ use obs::registry::Registry;
 use obs::slo::{SloState, SloTable};
 use obs::trace::TraceEvent;
 use std::collections::BTreeMap;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use tagbreathe::flight::{Anomaly, AnomalyKind, FlightDiagnostics};
 use tagbreathe::{FleetEngine, RateSnapshot, TagReport};
 
@@ -103,6 +104,10 @@ pub(crate) struct Publisher {
     pub total_clock: WatermarkClock,
 }
 
+/// How often the engine thread collects finished snapshots while one is
+/// in flight and no event arrives.
+const IN_FLIGHT_POLL: Duration = Duration::from_millis(1);
+
 /// Consumes events until every sender hangs up, then drains the lanes,
 /// finishes the fleet, and returns.
 pub(crate) fn run_engine<R: IdentityResolver>(
@@ -115,7 +120,27 @@ pub(crate) fn run_engine<R: IdentityResolver>(
     // Engine-ingest stamps measured against lane release — the
     // `lane_merge` freshness stage.
     let mut lane_clock = WatermarkClock::new(512, 0.05);
-    while let Ok(event) = rx.recv() {
+    loop {
+        // Shard workers finish a snapshot after the push that requested
+        // it has returned; while one is in flight, wake up to collect it
+        // rather than leave it unpublished until the next frame.
+        let event = if state.fleet.snapshots_in_flight() == 0 {
+            match rx.recv() {
+                Ok(event) => event,
+                Err(_) => break,
+            }
+        } else {
+            match rx.recv_timeout(IN_FLIGHT_POLL) {
+                Ok(event) => event,
+                Err(RecvTimeoutError::Timeout) => {
+                    for snap in state.fleet.push(Vec::new()) {
+                        state.publisher.publish(store, snap);
+                    }
+                    continue;
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        };
         match event {
             EngineEvent::Open { reader } => merger.open(reader),
             EngineEvent::Batch {

@@ -1,9 +1,10 @@
 //! CI entry point for the bounded model checker.
 //!
 //! Exhaustively verifies the declared fleet protocols (ring push/pop,
-//! epoch all-parts barrier, finish drain) and proves that the runtime
-//! reproductions of the `--cfg sync_mutant` ordering bugs are each
-//! caught with a minimal failing interleaving trace. Exits non-zero if
+//! epoch all-parts barrier, finish drain, park/unpark wake) and proves
+//! that the runtime reproductions of the `--cfg sync_mutant` ordering
+//! bugs, and the unpark-before-publish wake bug, are each caught with a
+//! minimal failing interleaving trace. Exits non-zero if
 //! a declared protocol fails, a mutant slips through, or an exhaustive
 //! run is truncated by the state budget.
 //!
@@ -13,7 +14,9 @@
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use tagbreathe_syncmodel::explore::{explore, random_walks, Limits, Machine, Verdict};
-use tagbreathe_syncmodel::machines::{BarrierMachine, DrainMachine, RingMachine, RingProtocol};
+use tagbreathe_syncmodel::machines::{
+    BarrierMachine, DrainMachine, RingMachine, RingProtocol, WakeMachine,
+};
 
 /// One expectation: a machine that must pass, or must fail.
 fn expect<M: Machine>(name: &str, m: &M, must_pass: bool, failures: &mut u32) {
@@ -130,6 +133,23 @@ fn main() -> ExitCode {
         &mut failures,
     );
 
+    // The wake handshake's happens-before edge is the park token's own
+    // Release/Acquire pair, so it must hold under a sync_mutant build too.
+    for (capacity, messages, batch) in [(1u64, 3u64, 2u64), (2, 4, 3)] {
+        expect(
+            &format!("wake cap={capacity} n={messages} batch={batch} declared"),
+            &WakeMachine::declared(capacity, messages, batch),
+            true,
+            &mut failures,
+        );
+    }
+    expect(
+        "wake cap=1 n=1 batch=1 unpark-before-publish mutant",
+        &WakeMachine::unpark_before_publish_mutant(1, 1, 1),
+        false,
+        &mut failures,
+    );
+
     if deep {
         let big = RingMachine {
             capacity: 4,
@@ -152,6 +172,23 @@ fn main() -> ExitCode {
                 println!("FAIL ring cap=4 n=8 declared: random walk violation — {message}");
                 failures += 1;
             }
+        }
+        let wake = WakeMachine::declared(4, 12, 5);
+        if let Some((message, _)) = random_walks(&wake, 300, 600, 0x7ab_b7ea) {
+            println!("FAIL wake cap=4 n=12 batch=5 declared: random walk violation — {message}");
+            failures += 1;
+        } else {
+            println!("ok   wake cap=4 n=12 batch=5 declared: 300 random deep walks clean");
+        }
+        let wake_mutant = WakeMachine::unpark_before_publish_mutant(4, 12, 5);
+        if let Some((message, trace)) = random_walks(&wake_mutant, 300, 600, 0x7ab_b7ea) {
+            println!(
+                "ok   wake cap=4 n=12 batch=5 unpark-before-publish mutant: walk caught — {message} ({} steps)",
+                trace.len()
+            );
+        } else {
+            println!("FAIL wake cap=4 n=12 batch=5 unpark-before-publish mutant: 300 walks found nothing");
+            failures += 1;
         }
         let big_mutant = RingMachine {
             proto: RingProtocol::relaxed_publish_mutant(),

@@ -39,7 +39,8 @@
 //!
 //! # Machines
 //!
-//! [`machines`] ports the three fleet protocols onto the model, spelled
+//! [`machines`] ports the four fleet protocols (ring, epoch barrier,
+//! finish drain and the worker's park/unpark wake) onto the model, spelled
 //! with the **same** `std::sync::atomic::Ordering` values the real code
 //! uses — [`machines::RingProtocol::declared`] reads the named constants
 //! from `tagbreathe::fleet::protocol`, so a `--cfg sync_mutant` build of

@@ -866,3 +866,429 @@ impl Machine for DrainMachine {
         Ok(())
     }
 }
+
+/// The shard worker's park/unpark handshake over the ring's head and
+/// tail counters, with the park token modelled as std implements it.
+///
+/// `std::thread::park` keeps one token per thread in three states:
+/// [`TOKEN_EMPTY`], [`TOKEN_NOTIFIED`] and [`TOKEN_PARKED`]. `unpark`
+/// swaps in `NOTIFIED` (Release); `park` decrements the token (Acquire),
+/// returning at once from `NOTIFIED` and blocking from `EMPTY`; a blocked
+/// thread leaves only by swapping `NOTIFIED` back to `EMPTY` (Acquire).
+///
+/// The producer (router) pushes `messages` slots through a ring of
+/// `capacity`, unparking the consumer once at the end of every `batch`
+/// and before waiting on a full ring. The consumer (shard worker) pops
+/// until the ring looks empty, then parks; every return from `park` goes
+/// back to the ring. Payload words are [`RingMachine`]'s job and are
+/// left out.
+///
+/// The property: no terminal state leaves the consumer parked while
+/// published messages remain unconsumed (a lost wakeup). Blocking is
+/// modelled as disabledness — a parked consumer steps only once the
+/// token is `NOTIFIED`, and a producer waiting on a full ring steps only
+/// once some readable tail frees a slot — so a lost wakeup is a
+/// deadlock the explorer reaches as a terminal state.
+#[derive(Clone, Copy, Debug)]
+pub struct WakeMachine {
+    /// Ring capacity in slots.
+    pub capacity: u64,
+    /// Messages pushed end to end.
+    pub messages: u64,
+    /// Messages per push call; the producer unparks after each batch.
+    pub batch: u64,
+    /// Ring orderings (head/tail publish and observe).
+    pub ring: RingProtocol,
+    /// The seeded bug: the end-of-batch `unpark` runs before the
+    /// batch's last head publish instead of after it.
+    pub unpark_before_publish: bool,
+}
+
+/// Park token: no pending wake.
+pub const TOKEN_EMPTY: u64 = 0;
+/// Park token: a wake is pending; the next `park` returns at once.
+pub const TOKEN_NOTIFIED: u64 = 1;
+/// Park token: the owner is blocked in `park`.
+pub const TOKEN_PARKED: u64 = 2;
+
+/// Park-token location of the wake machine (after head and tail).
+const TOKEN: Loc = 2;
+
+/// A thread of the wake machine.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub enum WakeThread {
+    /// Producer at the top of a push: `sent` messages published so far.
+    Push {
+        /// Messages published so far.
+        sent: u64,
+        /// Last observed consumer tail.
+        cached_tail: u64,
+    },
+    /// Producer publishing the head for message `sent + 1`.
+    Publish {
+        /// As in [`WakeThread::Push`].
+        sent: u64,
+        /// As in [`WakeThread::Push`].
+        cached_tail: u64,
+        /// The batch's wake already ran (mutant order).
+        woken: bool,
+    },
+    /// Producer's end-of-batch `unpark`.
+    BatchWake {
+        /// As in [`WakeThread::Push`].
+        sent: u64,
+        /// As in [`WakeThread::Push`].
+        cached_tail: u64,
+        /// Publish the batch's last message next (mutant order).
+        then_publish: bool,
+    },
+    /// Producer found the ring full: `unpark` before waiting.
+    StallWake {
+        /// As in [`WakeThread::Push`].
+        sent: u64,
+    },
+    /// Producer waiting for the consumer to free a slot.
+    Stalled {
+        /// As in [`WakeThread::Push`].
+        sent: u64,
+    },
+    /// Consumer polling the ring.
+    Poll {
+        /// Messages consumed so far.
+        got: u64,
+        /// Last observed producer head.
+        cached_head: u64,
+    },
+    /// Consumer freeing the slot it took (tail publish).
+    Take {
+        /// As in [`WakeThread::Poll`].
+        got: u64,
+        /// As in [`WakeThread::Poll`].
+        cached_head: u64,
+    },
+    /// Consumer saw an empty ring (head = `got`) and is entering `park`.
+    Park {
+        /// As in [`WakeThread::Poll`].
+        got: u64,
+    },
+    /// Consumer blocked in `park`.
+    Parked {
+        /// As in [`WakeThread::Poll`].
+        got: u64,
+    },
+    /// Thread finished.
+    Done,
+}
+
+impl WakeMachine {
+    /// The shipped handshake: ring orderings from
+    /// `tagbreathe::fleet::protocol`, unpark after publish.
+    #[must_use]
+    pub fn declared(capacity: u64, messages: u64, batch: u64) -> Self {
+        WakeMachine {
+            capacity,
+            messages,
+            batch,
+            ring: RingProtocol::declared(),
+            unpark_before_publish: false,
+        }
+    }
+
+    /// The runtime mutant: the end-of-batch `unpark` runs before the
+    /// batch's last publish, so the consumer can spend the wake on an
+    /// empty ring and park again with the message still to come.
+    #[must_use]
+    pub fn unpark_before_publish_mutant(capacity: u64, messages: u64, batch: u64) -> Self {
+        WakeMachine {
+            unpark_before_publish: true,
+            ..WakeMachine::declared(capacity, messages, batch)
+        }
+    }
+
+    fn ends_batch(&self, published: u64) -> bool {
+        published == self.messages || published.is_multiple_of(self.batch.max(1))
+    }
+
+    /// `Thread::unpark`: swap in `NOTIFIED` with Release.
+    fn unpark(tid: usize, mem: &Mem) -> (u64, Mem) {
+        mem.rmw(tid, TOKEN, |_| TOKEN_NOTIFIED, Ordering::Release)
+    }
+
+    fn step_producer(&self, tid: usize, thread: &WakeThread, mem: &Mem) -> Vec<Succ<WakeThread>> {
+        let one = |thread: WakeThread, mem: Mem, label: String| vec![Succ { thread, mem, label }];
+        match *thread {
+            WakeThread::Push { sent, cached_tail } => {
+                if sent == self.messages {
+                    return one(WakeThread::Done, mem.clone(), "P: done".to_string());
+                }
+                if sent.wrapping_sub(cached_tail) >= self.capacity {
+                    return self
+                        .tail_loads(tid, mem)
+                        .into_iter()
+                        .map(|(v, next)| {
+                            let thread = if sent.wrapping_sub(v) < self.capacity {
+                                WakeThread::Push {
+                                    sent,
+                                    cached_tail: v,
+                                }
+                            } else {
+                                WakeThread::StallWake { sent }
+                            };
+                            Succ {
+                                thread,
+                                mem: next,
+                                label: format!("P: observe tail={v} ({:?})", self.ring.observe),
+                            }
+                        })
+                        .collect();
+                }
+                let thread = if self.unpark_before_publish && self.ends_batch(sent + 1) {
+                    WakeThread::BatchWake {
+                        sent,
+                        cached_tail,
+                        then_publish: true,
+                    }
+                } else {
+                    WakeThread::Publish {
+                        sent,
+                        cached_tail,
+                        woken: false,
+                    }
+                };
+                one(
+                    thread,
+                    mem.clone(),
+                    format!("P: slot for message {} free", sent + 1),
+                )
+            }
+            WakeThread::Publish {
+                sent,
+                cached_tail,
+                woken,
+            } => {
+                let next = mem.store(tid, HEAD, sent + 1, self.ring.publish);
+                let thread = if self.ends_batch(sent + 1) && !woken {
+                    WakeThread::BatchWake {
+                        sent: sent + 1,
+                        cached_tail,
+                        then_publish: false,
+                    }
+                } else {
+                    WakeThread::Push {
+                        sent: sent + 1,
+                        cached_tail,
+                    }
+                };
+                one(
+                    thread,
+                    next,
+                    format!("P: publish head={} ({:?})", sent + 1, self.ring.publish),
+                )
+            }
+            WakeThread::BatchWake {
+                sent,
+                cached_tail,
+                then_publish,
+            } => {
+                let (old, next) = Self::unpark(tid, mem);
+                let thread = if then_publish {
+                    WakeThread::Publish {
+                        sent,
+                        cached_tail,
+                        woken: true,
+                    }
+                } else {
+                    WakeThread::Push { sent, cached_tail }
+                };
+                one(
+                    thread,
+                    next,
+                    format!("P: end of batch, unpark (token was {})", token_name(old)),
+                )
+            }
+            WakeThread::StallWake { sent } => {
+                let (old, next) = Self::unpark(tid, mem);
+                one(
+                    WakeThread::Stalled { sent },
+                    next,
+                    format!("P: ring full, unpark (token was {})", token_name(old)),
+                )
+            }
+            // Waiting on a full ring: steps only on a tail that frees a
+            // slot (re-reading a stale tail changes nothing).
+            WakeThread::Stalled { sent } => self
+                .tail_loads(tid, mem)
+                .into_iter()
+                .filter(|(v, _)| sent.wrapping_sub(*v) < self.capacity)
+                .map(|(v, next)| Succ {
+                    thread: WakeThread::Push {
+                        sent,
+                        cached_tail: v,
+                    },
+                    mem: next,
+                    label: format!("P: observe tail={v} ({:?})", self.ring.observe),
+                })
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    fn tail_loads(&self, tid: usize, mem: &Mem) -> Vec<(u64, Mem)> {
+        mem.loads(tid, TAIL, self.ring.observe)
+    }
+
+    fn step_consumer(&self, tid: usize, thread: &WakeThread, mem: &Mem) -> Vec<Succ<WakeThread>> {
+        match *thread {
+            WakeThread::Poll { got, cached_head } => {
+                if got == self.messages {
+                    return vec![Succ {
+                        thread: WakeThread::Done,
+                        mem: mem.clone(),
+                        label: "C: done".to_string(),
+                    }];
+                }
+                if got != cached_head {
+                    return vec![Succ {
+                        thread: WakeThread::Take { got, cached_head },
+                        mem: mem.clone(),
+                        label: format!("C: message {} pending", got + 1),
+                    }];
+                }
+                mem.loads(tid, HEAD, self.ring.observe)
+                    .into_iter()
+                    .map(|(v, next)| {
+                        let thread = if v == got {
+                            WakeThread::Park { got }
+                        } else {
+                            WakeThread::Poll {
+                                got,
+                                cached_head: v,
+                            }
+                        };
+                        Succ {
+                            thread,
+                            mem: next,
+                            label: format!("C: observe head={v} ({:?})", self.ring.observe),
+                        }
+                    })
+                    .collect()
+            }
+            WakeThread::Take { got, cached_head } => vec![Succ {
+                thread: WakeThread::Poll {
+                    got: got + 1,
+                    cached_head,
+                },
+                mem: mem.store(tid, TAIL, got + 1, self.ring.publish),
+                label: format!("C: publish tail={} ({:?})", got + 1, self.ring.publish),
+            }],
+            WakeThread::Park { got } => {
+                // `fetch_sub(1, Acquire)`: NOTIFIED -> EMPTY returns at
+                // once, EMPTY -> PARKED blocks.
+                let (old, next) = mem.rmw(
+                    tid,
+                    TOKEN,
+                    |t| {
+                        if t == TOKEN_NOTIFIED {
+                            TOKEN_EMPTY
+                        } else {
+                            TOKEN_PARKED
+                        }
+                    },
+                    Ordering::Acquire,
+                );
+                let thread = if old == TOKEN_NOTIFIED {
+                    WakeThread::Poll {
+                        got,
+                        cached_head: got,
+                    }
+                } else {
+                    WakeThread::Parked { got }
+                };
+                vec![Succ {
+                    thread,
+                    mem: next,
+                    label: format!("C: ring empty, park (token was {})", token_name(old)),
+                }]
+            }
+            WakeThread::Parked { got } => {
+                // Blocked until an `unpark` stores NOTIFIED; then the
+                // `compare_exchange(NOTIFIED, EMPTY, Acquire)` succeeds.
+                // (A spurious futex return re-blocks on PARKED, so it is
+                // no step at all.)
+                if mem.latest(TOKEN) != TOKEN_NOTIFIED {
+                    return Vec::new();
+                }
+                let (_, next) = mem.rmw(tid, TOKEN, |_| TOKEN_EMPTY, Ordering::Acquire);
+                vec![Succ {
+                    thread: WakeThread::Poll {
+                        got,
+                        cached_head: got,
+                    },
+                    mem: next,
+                    label: "C: woken (token NOTIFIED -> EMPTY)".to_string(),
+                }]
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
+fn token_name(token: u64) -> &'static str {
+    match token {
+        TOKEN_EMPTY => "EMPTY",
+        TOKEN_NOTIFIED => "NOTIFIED",
+        _ => "PARKED",
+    }
+}
+
+impl Machine for WakeMachine {
+    type Thread = WakeThread;
+
+    fn locs(&self) -> usize {
+        3
+    }
+
+    fn init(&self) -> Vec<WakeThread> {
+        vec![
+            WakeThread::Push {
+                sent: 0,
+                cached_tail: 0,
+            },
+            WakeThread::Poll {
+                got: 0,
+                cached_head: 0,
+            },
+        ]
+    }
+
+    fn step(&self, tid: usize, thread: &WakeThread, mem: &Mem) -> Vec<Succ<WakeThread>> {
+        if tid == 0 {
+            self.step_producer(tid, thread, mem)
+        } else {
+            self.step_consumer(tid, thread, mem)
+        }
+    }
+
+    fn failure(&self, _threads: &[WakeThread]) -> Option<String> {
+        None
+    }
+
+    fn final_check(&self, threads: &[WakeThread], mem: &Mem) -> Result<(), String> {
+        let parked = threads.iter().find_map(|t| match t {
+            WakeThread::Parked { got } => Some(*got),
+            _ => None,
+        });
+        match parked {
+            None => Ok(()),
+            Some(got) => Err(format!(
+                "lost wakeup: consumer parked at tail={got} while head={} and the producer {}",
+                mem.latest(HEAD),
+                if threads.iter().any(|t| matches!(t, WakeThread::Done)) {
+                    "has finished"
+                } else {
+                    "waits on a full ring"
+                }
+            )),
+        }
+    }
+}

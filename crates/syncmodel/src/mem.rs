@@ -91,8 +91,10 @@ impl Mem {
         self.hist.len()
     }
 
-    /// The latest value of `loc` — for final checks and diagnostics only
-    /// (no thread is entitled to this global observation mid-run).
+    /// The latest value of `loc` — for final checks, diagnostics and the
+    /// enabling condition of a thread blocked in the kernel (a futex wait
+    /// compares against the current value); no load may return it
+    /// unconditionally mid-run.
     #[must_use]
     pub fn latest(&self, loc: Loc) -> u64 {
         self.hist

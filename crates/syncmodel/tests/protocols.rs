@@ -9,7 +9,9 @@
 #![cfg(not(sync_mutant))]
 
 use tagbreathe_syncmodel::explore::{explore, random_walks, Limits, Verdict};
-use tagbreathe_syncmodel::machines::{BarrierMachine, DrainMachine, RingMachine, RingProtocol};
+use tagbreathe_syncmodel::machines::{
+    BarrierMachine, DrainMachine, RingMachine, RingProtocol, WakeMachine,
+};
 
 fn ring(capacity: u64, proto: RingProtocol) -> RingMachine {
     RingMachine {
@@ -129,4 +131,52 @@ fn random_deep_walks_are_deterministic_and_catch_the_mutant() {
         random_walks(&declared, 100, 400, 0xDEED).is_none(),
         "declared protocol must stay clean under random walks"
     );
+}
+
+#[test]
+fn wake_handshake_declared_never_strands_a_parked_worker() {
+    for (capacity, messages, batch) in [(1, 3, 2), (2, 4, 3), (2, 3, 1)] {
+        let verdict = explore(
+            &WakeMachine::declared(capacity, messages, batch),
+            &Limits::default(),
+        );
+        match verdict {
+            Verdict::Pass { complete, states } => {
+                assert!(complete, "cap {capacity}: truncated at {states} states");
+            }
+            Verdict::Fail { message, trace, .. } => {
+                panic!("cap {capacity} n={messages} batch={batch}: {message}\n{trace:#?}")
+            }
+        }
+    }
+    // The handshake's edge is the park token's Release/Acquire pair, not
+    // the ring counters': it holds with both ring orderings weakened.
+    let weakened = WakeMachine {
+        ring: RingProtocol {
+            publish: std::sync::atomic::Ordering::Relaxed,
+            observe: std::sync::atomic::Ordering::Relaxed,
+            slot: std::sync::atomic::Ordering::Relaxed,
+        },
+        ..WakeMachine::declared(1, 3, 2)
+    };
+    assert!(explore(&weakened, &Limits::default()).passed());
+}
+
+#[test]
+fn unpark_before_publish_mutant_loses_a_wakeup() {
+    let verdict = explore(
+        &WakeMachine::unpark_before_publish_mutant(1, 1, 1),
+        &Limits::default(),
+    );
+    let Verdict::Fail { message, trace, .. } = verdict else {
+        panic!("unpark before publish must strand the consumer: {verdict:?}");
+    };
+    assert!(message.contains("lost wakeup"), "{message}");
+    assert!(message.contains("has finished"), "{message}");
+    // The wake is spent on an empty ring: unpark, consumer parks
+    // (returns at once), re-polls empty, parks for real, then the
+    // publish lands with nobody left to wake the consumer.
+    let unpark = trace.iter().position(|s| s.contains("unpark"));
+    let publish = trace.iter().position(|s| s.contains("publish head=1"));
+    assert!(unpark < publish, "{trace:#?}");
 }

@@ -28,6 +28,14 @@
 //! * Each **shard worker** owns the [`shard::ShardCore`] slab for its
 //!   users; the ring is its only input, so no user state is ever shared
 //!   between threads.
+//! * **Idle workers park.** A worker that finds its ring empty spins
+//!   briefly, then blocks in [`std::thread::park`]. The router unparks a
+//!   shard after publishing to it: once per `push` call for every shard
+//!   that was sent a message, before every yield while a ring is full,
+//!   and after `Finish`. `unpark` synchronizes-with the `park` it
+//!   releases, and a token left by an early `unpark` makes the next
+//!   `park` return at once, so no wake is lost; an idle engine costs no
+//!   CPU.
 //! * **Snapshots** use epoch/watermark handoff: the router broadcasts a
 //!   `Snapshot{watermark, time, epoch}` request in-stream, each shard
 //!   evicts to the watermark, analyses its users and sends one part back;
@@ -67,7 +75,7 @@ use ring::{RingConsumer, RingProducer, SLOT_WORDS};
 use shard::ShardCore;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
-use std::thread;
+use std::thread::{self, Thread};
 use std::time::Instant;
 
 /// Ring capacity per shard, in slots. 1024 six-word slots ≈ 48 KiB per
@@ -100,13 +108,46 @@ struct PendingEpoch {
     state_cells: usize,
 }
 
+/// Empty-ring polls a shard worker spins through before it parks: a
+/// short spin keeps back-to-back batches off the park/unpark syscalls.
+const SPINS_BEFORE_PARK: u32 = 64;
+
 /// The router's handle to one shard: ring producer plus worker thread.
 #[derive(Debug)]
 struct ShardLink {
     feed: RingProducer,
     worker: Option<thread::JoinHandle<()>>,
+    /// The worker's handle, for `unpark` after a publish.
+    thread: Thread,
+    /// A message was published since the worker was last unparked.
+    needs_wake: bool,
     /// Next dense user slot to assign on this shard.
     next_slot: u32,
+}
+
+impl ShardLink {
+    /// Blocking ring push; returns how often the ring was full. While it
+    /// is full the worker is unparked before every yield, so a parked
+    /// worker drains the ring the router is waiting on.
+    fn push_blocking(&mut self, words: &[u64; SLOT_WORDS]) -> u64 {
+        let mut stalls = 0u64;
+        while !self.feed.try_push(words) {
+            stalls += 1;
+            self.thread.unpark();
+            thread::yield_now();
+        }
+        self.needs_wake = true;
+        stalls
+    }
+
+    /// Unparks the worker if anything was published since the last wake.
+    /// `unpark` after the ring's Release publish synchronizes-with the
+    /// worker's `park`, so the worker's next pop sees the message.
+    fn wake(&mut self) {
+        if std::mem::take(&mut self.needs_wake) {
+            self.thread.unpark();
+        }
+    }
 }
 
 /// The threaded executor: one worker thread per shard, fed over SPSC
@@ -240,7 +281,9 @@ impl ShardPool {
             });
             links.push(ShardLink {
                 feed,
+                thread: worker.thread().clone(),
                 worker: Some(worker),
+                needs_wake: false,
                 next_slot: 0,
             });
         }
@@ -263,11 +306,7 @@ impl ShardPool {
         let Some(link) = self.shards.get_mut(shard as usize) else {
             return;
         };
-        let mut stalls = 0u64;
-        while !link.feed.try_push(words) {
-            stalls += 1;
-            thread::yield_now();
-        }
+        let stalls = link.push_blocking(words);
         if stalls > 0 && ctx.recording {
             ctx.recorder.add(
                 metrics::FLEET_RING_STALLS,
@@ -347,7 +386,7 @@ impl ShardPool {
         })
     }
 
-    /// Idempotent teardown: broadcast `Finish` and join the workers.
+    /// Idempotent teardown: broadcast `Finish`, wake and join the workers.
     fn stop(&mut self) {
         if self.finished {
             return;
@@ -355,9 +394,8 @@ impl ShardPool {
         self.finished = true;
         let words = ShardMsg::Finish.encode();
         for link in &mut self.shards {
-            while !link.feed.try_push(&words) {
-                thread::yield_now();
-            }
+            link.push_blocking(&words);
+            link.wake();
         }
         for link in &mut self.shards {
             if let Some(worker) = link.worker.take() {
@@ -441,7 +479,12 @@ impl Executor for ShardPool {
         self.handoff_started = ctx.recording.then(Instant::now);
     }
 
+    /// Wakes every shard that was sent a message in this batch: one
+    /// `unpark` per shard per push call, not per report.
     fn end_batch(&mut self, routed_any: bool, ctx: &Context) {
+        for link in &mut self.shards {
+            link.wake();
+        }
         if let (Some(started), true) = (self.handoff_started.take(), routed_any) {
             ctx.recorder.observe(
                 metrics::SNAPSHOT_LAG_NS,
@@ -454,6 +497,10 @@ impl Executor for ShardPool {
     fn finish(&mut self, _ctx: &Context) {
         self.stop();
     }
+
+    fn in_flight(&self) -> usize {
+        usize::try_from(self.next_epoch - self.next_emit).unwrap_or(usize::MAX)
+    }
 }
 
 impl Drop for ShardPool {
@@ -465,6 +512,11 @@ impl Drop for ShardPool {
 /// A shard worker's event loop: decode ring messages, drive the core,
 /// publish snapshot parts. Runs until `Finish` (or a codec mismatch, which
 /// cannot happen with a same-version router).
+///
+/// An empty ring is polled [`SPINS_BEFORE_PARK`] times, then the worker
+/// parks until the router unparks it after a publish. Every wake,
+/// spurious or not, goes back to the ring: a wake cannot be lost, since
+/// an `unpark` that lands before the `park` makes it return at once.
 fn shard_worker(
     shard: u32,
     mut feed: RingConsumer,
@@ -478,11 +530,9 @@ fn shard_worker(
     let mut idle: u32 = 0;
     loop {
         let Some(words) = feed.pop() else {
-            // Spin briefly for latency, then yield so oversubscribed hosts
-            // (more shards than cores) still make progress.
             idle = idle.saturating_add(1);
-            if idle > 64 {
-                thread::yield_now();
+            if idle > SPINS_BEFORE_PARK {
+                thread::park();
             } else {
                 std::hint::spin_loop();
             }

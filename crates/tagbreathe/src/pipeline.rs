@@ -97,6 +97,10 @@ pub trait Executor: sealed::Sealed {
     fn end_batch(&mut self, _routed_any: bool, _ctx: &Context) {}
     /// Waits for every requested snapshot to become pollable.
     fn finish(&mut self, _ctx: &Context) {}
+    /// Snapshots requested but not yet returned by [`Executor::poll`].
+    fn in_flight(&self) -> usize {
+        0
+    }
 }
 
 /// The snapshot/eviction clock: the watermark (newest report time), the
@@ -388,6 +392,14 @@ impl<R: IdentityResolver, X: Executor> Router<R, X> {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.exec.shard_count()
+    }
+
+    /// Cadence snapshots requested but still being analysed on shard
+    /// workers (always 0 inline). They surface from a later `push` — an
+    /// empty one will do — or from [`Router::finish`].
+    #[must_use]
+    pub fn snapshots_in_flight(&self) -> usize {
+        self.exec.in_flight()
     }
 
     /// Users admitted (interned and assigned a slot) so far.

@@ -39,15 +39,19 @@ fn single_thread(reports: &[TagReport], ids: &[u64]) -> Vec<RateSnapshot> {
     sm.push(reports.iter().cloned())
 }
 
-fn sharded(reports: &[TagReport], ids: &[u64], shards: usize) -> Vec<RateSnapshot> {
-    let mut fleet = FleetEngine::new(
+fn new_fleet(ids: &[u64], shards: usize) -> FleetEngine<EmbeddedIdentity> {
+    FleetEngine::new(
         PipelineConfig::paper_default(),
         EmbeddedIdentity::new(ids.to_vec()),
         WINDOW_S,
         CADENCE_S,
         shards,
     )
-    .unwrap();
+    .unwrap()
+}
+
+fn sharded(reports: &[TagReport], ids: &[u64], shards: usize) -> Vec<RateSnapshot> {
+    let mut fleet = new_fleet(ids, shards);
     let mut snaps = fleet.push(reports.iter().cloned());
     snaps.extend(fleet.finish());
     snaps
@@ -262,6 +266,132 @@ fn hostile_timestamps_are_dropped_identically() {
             &inline,
             &sharded(&reports, &ids, shards),
             &format!("hostile trace at {shards} shards"),
+        );
+    }
+}
+
+// Wake protocol: idle shard workers park, and the router unparks them
+// after publishing. A lost wake shows up as a hang, so every fleet call
+// below runs under a deadline.
+
+/// An idle gap long enough for every worker to finish its spin and park.
+const PARK_GAP: std::time::Duration = std::time::Duration::from_millis(25);
+
+/// Runs `f` on its own thread and fails the test if it does not return
+/// within `limit`.
+fn within<T: Send + 'static>(
+    limit: std::time::Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => value,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what} did not return within {limit:?}: a wake was lost")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
+}
+
+#[test]
+fn batches_after_idle_gaps_wake_parked_workers() {
+    // Each batch lands on parked workers. The cadence points it makes due
+    // must then surface from later empty pushes (which publish nothing,
+    // so wake nobody): only the wake at the end of the batch itself can
+    // have got the workers to analyse them.
+    let (reports, ids) = capture_multi_user(30.0);
+    let reference = single_thread(&reports, &ids);
+    assert!(reference.len() >= 5, "only {} snapshots", reference.len());
+    for shards in [1, 2] {
+        let (reports, ids, due) = (reports.clone(), ids.clone(), reference.clone());
+        let fleet = within(
+            std::time::Duration::from_secs(30),
+            "gapped pushes",
+            move || {
+                let mut fleet = new_fleet(&ids, shards);
+                let mut snaps = Vec::new();
+                let mut watermark = f64::NEG_INFINITY;
+                for batch in reports.chunks(200) {
+                    std::thread::sleep(PARK_GAP);
+                    snaps.extend(fleet.push(batch.iter().cloned()));
+                    watermark = batch.iter().fold(watermark, |w, r| w.max(r.time_s));
+                    let expected = due.iter().filter(|s| s.time_s <= watermark).count();
+                    while snaps.len() < expected {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                        snaps.extend(fleet.push(std::iter::empty()));
+                    }
+                }
+                std::thread::sleep(PARK_GAP);
+                snaps.extend(fleet.finish());
+                snaps
+            },
+        );
+        assert_bit_identical(&reference, &fleet, &format!("gapped/{shards} shards"));
+    }
+}
+
+#[test]
+fn one_push_larger_than_the_ring_wakes_a_parked_worker() {
+    // At one shard every routed report lands on the same 1024-slot ring,
+    // so the router fills it long before the push ends: only the
+    // stall-path wake can get the parked worker to drain it.
+    let (reports, ids) = capture_multi_user(60.0);
+    assert!(reports.len() > 4 * 1024, "{} reports", reports.len());
+    let reference = single_thread(&reports, &ids);
+    for shards in [1, 2] {
+        let (reports, ids) = (reports.clone(), ids.clone());
+        let fleet = within(
+            std::time::Duration::from_secs(30),
+            "one oversized push",
+            move || {
+                let mut fleet = new_fleet(&ids, shards);
+                std::thread::sleep(PARK_GAP);
+                let mut snaps = fleet.push(reports);
+                snaps.extend(fleet.finish());
+                snaps
+            },
+        );
+        assert_bit_identical(&reference, &fleet, &format!("oversized/{shards} shards"));
+    }
+}
+
+#[test]
+fn finish_and_drop_return_promptly_after_a_long_idle() {
+    let (reports, ids) = capture_multi_user(12.0);
+    let reference = single_thread(&reports, &ids);
+    for shards in [1, 2] {
+        let (batch, fleet_ids) = (reports.clone(), ids.clone());
+        let finished = within(
+            std::time::Duration::from_secs(10),
+            "finish after idle",
+            move || {
+                let mut fleet = new_fleet(&fleet_ids, shards);
+                let mut snaps = fleet.push(batch);
+                std::thread::sleep(PARK_GAP * 8);
+                snaps.extend(fleet.finish());
+                snaps
+            },
+        );
+        assert_bit_identical(
+            &reference,
+            &finished,
+            &format!("idle finish/{shards} shards"),
+        );
+
+        let (batch, fleet_ids) = (reports.clone(), ids.clone());
+        within(
+            std::time::Duration::from_secs(10),
+            "drop after idle",
+            move || {
+                let mut fleet = new_fleet(&fleet_ids, shards);
+                let _ = fleet.push(batch);
+                std::thread::sleep(PARK_GAP * 8);
+                drop(fleet);
+            },
         );
     }
 }
