@@ -1,10 +1,17 @@
 //! Micro-benchmarks of the DSP substrate: the per-window costs of the
-//! extraction pipeline's inner loops.
+//! extraction pipeline's inner loops, and the per-user snapshot tail a
+//! live monitor runs at every cadence step.
 
+use breathing::Scenario;
 use dsp::fft::{fft_real, power_spectrum};
-use dsp::filter::{FftLowPass, FirFilter};
+use dsp::filter::{FftBandPass, FftLowPass, FirFilter};
 use dsp::spectrum::dominant_frequency;
 use dsp::zero_crossing::find_zero_crossings;
+use epcgen2::reader::Reader;
+use epcgen2::world::ScenarioWorld;
+use tagbreathe::extract::extract_breath_signal;
+use tagbreathe::rate::estimate_rate;
+use tagbreathe::{PipelineConfig, UserStreamState};
 use tagbreathe_bench::microbench::{bb, bench};
 
 fn breathing_window(n: usize) -> Vec<f64> {
@@ -34,6 +41,13 @@ fn bench_filters() {
         Err(e) => panic!("breathing_band filter: {e}"),
     };
     bench("filters/fft_lowpass_1024", || fft.filter(bb(&signal)));
+    // The live window: 25 s of 1/16 s fusion bins.
+    let window = breathing_window(399);
+    let band = match FftBandPass::breathing_band(16.0) {
+        Ok(f) => f,
+        Err(e) => panic!("breathing_band band-pass: {e}"),
+    };
+    bench("filters/fft_bandpass_399", || band.filter(bb(&window)));
     let fir = match FirFilter::low_pass(0.67, 16.0, 129) {
         Ok(f) => f,
         Err(e) => panic!("fir low_pass: {e}"),
@@ -51,8 +65,30 @@ fn bench_analysis() {
     });
 }
 
+/// One user's snapshot at a cadence step: fused trajectory of the 25 s
+/// window, detrend, FFT band-pass and the Eq. 5 rate.
+fn bench_snapshot_tail() {
+    let scenario = Scenario::builder()
+        .users_side_by_side(1, 4.0, &[12.0])
+        .build();
+    let reports = Reader::paper_default().run(&ScenarioWorld::new(scenario), 30.0);
+    let config = PipelineConfig::paper_default();
+    let mut state = UserStreamState::new();
+    for r in &reports {
+        state.push(r.epc.tag_id(), r, &config);
+    }
+    let watermark_s = reports.last().map_or(0.0, |r| r.time_s);
+    state.evict(watermark_s, 25.0, &config);
+    bench("snapshot_tail/user_25s_window", || {
+        let snap = bb(&state).snapshot(&config)?;
+        let signal = extract_breath_signal(&snap.displacement, &config).ok()?;
+        Some(estimate_rate(&signal, &config))
+    });
+}
+
 fn main() {
     bench_fft();
     bench_filters();
     bench_analysis();
+    bench_snapshot_tail();
 }

@@ -391,7 +391,6 @@ pub fn render(points: &[FleetPoint]) -> String {
     out
 }
 
-/// Serialises the sweep (with the self-check verdict and host parallelism)
 /// Worker threads the host can actually run in parallel.
 #[must_use]
 pub fn host_parallelism() -> usize {
@@ -411,6 +410,7 @@ pub fn scaling_valid(config: &FleetBenchConfig, host_parallelism: usize) -> bool
         .all(|&shards| shards <= host_parallelism)
 }
 
+/// Serialises the sweep (with the self-check verdict and host parallelism)
 /// as JSON.
 #[must_use]
 pub fn to_json(

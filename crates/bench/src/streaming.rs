@@ -340,6 +340,11 @@ pub fn to_json(config: &StreamBenchConfig, points: &[BenchPoint]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"streaming_vs_recompute\",");
+    let _ = writeln!(
+        out,
+        "  \"host_parallelism\": {},",
+        crate::fleet::host_parallelism()
+    );
     let _ = writeln!(out, "  \"duration_s\": {},", config.duration_s);
     let _ = writeln!(out, "  \"cadence_s\": {},", config.cadence_s);
     out.push_str("  \"results\": [\n");
@@ -424,6 +429,7 @@ mod tests {
         let json = to_json(&cfg, &points);
         assert!(json.contains("\"streaming_vs_recompute\""));
         assert!(json.contains("\"speedup\""));
+        assert!(json.contains("\"host_parallelism\""));
         let table = render(&points);
         assert!(table.contains("speedup"));
     }

@@ -1,11 +1,14 @@
-//! FFT-based brick-wall low-pass filter.
+//! FFT-based brick-wall low-pass and band-pass filters.
 //!
 //! This is the filter TagBreathe uses for breath-signal extraction
 //! (Section IV-B): transform the displacement window with an FFT, zero every
-//! bin above the cutoff frequency (0.67 Hz by default — the upper bound of
-//! plausible human breathing, 40 bpm), and inverse-transform back.
+//! bin outside the band (above 0.67 Hz by default — the upper bound of
+//! plausible human breathing, 40 bpm), and inverse-transform back. Both
+//! filters run the same real-input transform pair
+//! ([`real_spectrum`]/[`real_inverse`]); the low-pass is the band that
+//! starts at bin 0.
 
-use crate::fft::{fft_in_place, next_pow2, Direction};
+use crate::fft::{next_pow2, real_inverse, real_spectrum};
 use crate::Complex;
 
 /// An FFT-based low-pass filter with a hard cutoff.
@@ -105,29 +108,7 @@ impl FftLowPass {
     /// zero-centred band-limited signal suitable for zero-crossing analysis.
     #[must_use]
     pub fn filter(&self, signal: &[f64]) -> Vec<f64> {
-        if signal.is_empty() {
-            return Vec::new();
-        }
-        let mean = signal.iter().sum::<f64>() / signal.len() as f64;
-        let n = next_pow2(signal.len());
-        let mut data = Vec::with_capacity(n);
-        data.extend(signal.iter().map(|&x| Complex::from_real(x - mean)));
-        data.resize(n, Complex::ZERO);
-        fft_in_place(&mut data, Direction::Forward);
-
-        // Keep bins [0, k_c] and their conjugate mirror [n-k_c, n-1].
-        let bin_width = self.sample_rate / n as f64;
-        let k_c = (self.cutoff_hz / bin_width).floor() as usize;
-        for (k, z) in data.iter_mut().enumerate() {
-            let mirrored = if k <= n / 2 { k } else { n - k };
-            if mirrored > k_c {
-                *z = Complex::ZERO;
-            }
-        }
-
-        fft_in_place(&mut data, Direction::Inverse);
-        data.truncate(signal.len());
-        data.into_iter().map(|z| z.re).collect()
+        band_limit(signal, 0.0, self.cutoff_hz, self.sample_rate)
     }
 }
 
@@ -204,33 +185,37 @@ impl FftBandPass {
     /// same length.
     #[must_use]
     pub fn filter(&self, signal: &[f64]) -> Vec<f64> {
-        if signal.is_empty() {
-            return Vec::new();
-        }
-        let mean = signal.iter().sum::<f64>() / signal.len() as f64;
-        let n = next_pow2(signal.len());
-        let mut data = Vec::with_capacity(n);
-        data.extend(signal.iter().map(|&x| Complex::from_real(x - mean)));
-        data.resize(n, Complex::ZERO);
-        fft_in_place(&mut data, Direction::Forward);
-        let bin_width = self.sample_rate / n as f64;
-        let k_lo = (self.low_hz / bin_width).ceil() as usize;
-        let k_hi = (self.high_hz / bin_width).floor() as usize;
-        for (k, z) in data.iter_mut().enumerate() {
-            let mirrored = if k <= n / 2 { k } else { n - k };
-            if mirrored < k_lo || mirrored > k_hi {
-                *z = Complex::ZERO;
-            }
-        }
-        fft_in_place(&mut data, Direction::Inverse);
-        data.truncate(signal.len());
-        data.into_iter().map(|z| z.re).collect()
+        band_limit(signal, self.low_hz, self.high_hz, self.sample_rate)
     }
+}
+
+/// Removes the mean of `signal`, zero-pads it to a power of two `n`, keeps
+/// the one-sided bins `k` with `low_hz <= k·Δf <= high_hz` (`Δf =
+/// sample_rate / n`) and returns the first `signal.len()` samples of the
+/// inverse. Real input has a Hermitian spectrum, so masking the one-sided
+/// bins is the same brick wall as masking `k` and `n - k` of the full one.
+fn band_limit(signal: &[f64], low_hz: f64, high_hz: f64, sample_rate: f64) -> Vec<f64> {
+    if signal.is_empty() {
+        return Vec::new();
+    }
+    let mean = signal.iter().sum::<f64>() / signal.len() as f64;
+    let n = next_pow2(signal.len());
+    let bin_width = sample_rate / n as f64;
+    let k_lo = (low_hz / bin_width).ceil() as usize;
+    let k_hi = (high_hz / bin_width).floor() as usize;
+    let mut spectrum = real_spectrum(signal, mean, n);
+    for (k, z) in spectrum.iter_mut().enumerate() {
+        if k < k_lo || k > k_hi {
+            *z = Complex::ZERO;
+        }
+    }
+    real_inverse(spectrum, signal.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::oracle::{dft, peak, signal};
     use std::f64::consts::PI;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
@@ -239,6 +224,136 @@ mod tests {
         (0..n)
             .map(|i| (2.0 * PI * freq * i as f64 / sample_rate).sin())
             .collect()
+    }
+
+    /// The full spectrum of the mean-removed signal zero-padded to `n`,
+    /// by naive DFT.
+    fn oracle_spectrum(signal: &[f64]) -> Vec<Complex> {
+        let mean = signal.iter().sum::<f64>() / signal.len().max(1) as f64;
+        let mut x: Vec<Complex> = signal
+            .iter()
+            .map(|&v| Complex::from_real(v - mean))
+            .collect();
+        x.resize(next_pow2(signal.len()), Complex::ZERO);
+        dft(&x, false)
+    }
+
+    /// The brick wall as the full complex spectrum defines it: zero every
+    /// bin `k` whose mirrored index `min(k, n-k)` lies outside the band,
+    /// invert by naive DFT and keep the first `len` real parts.
+    fn oracle_filter(
+        spectrum: &[Complex],
+        len: usize,
+        band: (f64, f64),
+        sample_rate: f64,
+    ) -> Vec<f64> {
+        let n = spectrum.len();
+        let bin_width = sample_rate / n as f64;
+        let k_lo = (band.0 / bin_width).ceil() as usize;
+        let k_hi = (band.1 / bin_width).floor() as usize;
+        let masked: Vec<Complex> = spectrum
+            .iter()
+            .enumerate()
+            .map(|(k, &z)| {
+                let mirrored = k.min(n - k);
+                if mirrored < k_lo || mirrored > k_hi {
+                    Complex::ZERO
+                } else {
+                    z
+                }
+            })
+            .collect();
+        dft(&masked, true).iter().take(len).map(|z| z.re).collect()
+    }
+
+    /// Every sample within `1e-12 · max|x|` of the oracle; NaN exactly
+    /// where the oracle is NaN.
+    fn assert_matches_oracle(got: &[f64], want: &[f64], scale: f64, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            if w.is_nan() {
+                assert!(g.is_nan(), "{what}: sample {i} is {g}, oracle NaN");
+            } else {
+                assert!(
+                    (g - w).abs() <= 1e-12 * scale,
+                    "{what}: sample {i}: {g} vs {w}"
+                );
+            }
+        }
+    }
+
+    /// Lengths 1..4096: every power of two, the live window (399 bins at
+    /// 16 Hz) and its neighbours, and a few odd ones.
+    fn lengths() -> Vec<usize> {
+        let mut lengths: Vec<usize> = (0..=12).map(|b| 1 << b).collect();
+        lengths.extend([3, 5, 399, 400, 401, 1000, 4095]);
+        lengths
+    }
+
+    /// `(low_hz, high_hz)` bands at 16 Hz: the breathing band, bands from
+    /// bin 0, bands reaching the Nyquist bin, and a band narrower than any
+    /// bin spacing up to 4096 points (empty).
+    const BANDS: [(f64, f64); 5] = [
+        (0.05, 0.67),
+        (0.0, 0.67),
+        (0.5, 8.0),
+        (0.0, 8.0),
+        (0.101, 0.1012),
+    ];
+
+    #[test]
+    fn both_filters_match_the_naive_dft_oracle() -> TestResult {
+        let sr = 16.0;
+        for len in lengths() {
+            let x = signal(len, 0.4);
+            let spectrum = oracle_spectrum(&x);
+            for (low, high) in BANDS {
+                let want = oracle_filter(&spectrum, len, (low, high), sr);
+                let what = format!("band [{low}, {high}] len={len}");
+                let bp = FftBandPass::new(low, high, sr)?.filter(&x);
+                assert_matches_oracle(&bp, &want, peak(&x), &what);
+                if low == 0.0 {
+                    let lp = FftLowPass::new(high, sr)?.filter(&x);
+                    assert_matches_oracle(&lp, &want, peak(&x), &format!("low-pass {what}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn band_narrower_than_a_bin_outputs_zeros() -> TestResult {
+        let (low, high) = BANDS[4];
+        let bp = FftBandPass::new(low, high, 16.0)?;
+        for len in lengths() {
+            assert_eq!(bp.filter(&signal(len, 0.8)), vec![0.0; len], "len={len}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn nan_input_gives_all_nan_output() -> TestResult {
+        // One NaN sample poisons the mean, so every kept bin and every
+        // output sample is NaN; a window too short for any bin of the band
+        // stays all zeros, as the oracle's brick wall has it.
+        let sr = 16.0;
+        for len in [1usize, 2, 3, 399, 400, 401, 1024] {
+            let mut x = signal(len, 1.1);
+            x[len / 2] = f64::NAN;
+            let spectrum = oracle_spectrum(&x);
+            for (low, high) in BANDS {
+                let out = FftBandPass::new(low, high, sr)?.filter(&x);
+                let want = oracle_filter(&spectrum, len, (low, high), sr);
+                assert_matches_oracle(&out, &want, 1.0, &format!("band [{low}, {high}] len={len}"));
+            }
+            if len >= 399 {
+                let bp = FftBandPass::breathing_band(sr)?.filter(&x);
+                assert!(bp.iter().all(|v| v.is_nan()), "band-pass len={len}");
+                let lp = FftLowPass::breathing_band(sr)?.filter(&x);
+                assert!(lp.iter().all(|v| v.is_nan()), "low-pass len={len}");
+            }
+        }
+        Ok(())
     }
 
     #[test]

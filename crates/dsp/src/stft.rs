@@ -5,7 +5,7 @@
 //! windowed FFT along the signal and returns a spectrogram, from which a
 //! breathing-rate *track* can be read off per frame.
 
-use crate::fft::{fft_real, next_pow2};
+use crate::fft::{next_pow2, power_spectrum};
 use crate::window::Window;
 
 /// A spectrogram: power per (frame, frequency bin).
@@ -108,9 +108,7 @@ pub fn stft(
             *x -= mean;
         }
         Window::Hann.apply(&mut frame);
-        let spec = fft_real(&frame);
-        let half = spec.len() / 2;
-        power.push(spec[..=half].iter().map(|z| z.norm_sqr()).collect());
+        power.push(power_spectrum(&frame));
         frame_times.push(start_time + (start + win / 2) as f64 / sample_rate);
         start += hop;
     }

@@ -17,8 +17,9 @@ pub const REPORTS_INGESTED: &str = "tagbreathe_reports_ingested_total";
 /// dropped by the demultiplexer.
 pub const REPORTS_UNKNOWN: &str = "tagbreathe_reports_unknown_total";
 
-/// Counter: reports dropped at ingest because their timestamp was NaN or
-/// infinite — such a report can be neither ordered nor windowed.
+/// Counter: reports dropped at ingest because their timestamp, phase or
+/// RSSI was NaN or infinite — such a report can be neither ordered nor
+/// windowed, and its phase or RSSI would poison the user's state.
 pub const REPORTS_NONFINITE: &str = "tagbreathe_reports_nonfinite_total";
 
 /// Counter: reports pushed into a per-user operator graph.

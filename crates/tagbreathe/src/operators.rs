@@ -62,7 +62,6 @@ use crate::series::TimeSeries;
 use epcgen2::report::TagReport;
 use obs::trace::{NoopTracer, TraceEvent, Tracer};
 use obs::{NoopRecorder, Recorder};
-use std::collections::BTreeMap;
 
 /// The per-tag slab: slots sorted by `(antenna_port, tag_id)` so
 /// iteration order (and therefore float summation order) matches the
@@ -344,28 +343,32 @@ impl UserStreamState {
     /// rate, ties broken by mean RSSI, then by higher port) — the
     /// incremental twin of
     /// [`UserStreams::best_antenna`](crate::demux::UserStreams::best_antenna).
+    ///
+    /// Allocation-free: the tag slab is sorted by `(port, tag)`, so each
+    /// port's tags form one run, visited in ascending port order.
     pub fn best_antenna(&self) -> Option<u8> {
-        let mut ports: BTreeMap<u8, (f64, f64, usize)> = BTreeMap::new();
-        for ((port, _), tag) in &self.tags {
-            let entry = ports.entry(*port).or_insert((0.0, 0.0, 0));
-            if let Some(rate) = tag.stat.mean_rate_hz() {
-                entry.0 += rate;
-            }
-            if let Some(rssi) = tag.stat.mean_rssi_dbm() {
-                entry.1 += rssi;
-                entry.2 += 1;
-            }
-        }
-        ports
-            .into_iter()
-            .map(|(port, (rate, rssi_sum, n))| {
+        self.tags
+            .chunk_by(|((a, _), _), ((b, _), _)| a == b)
+            .filter_map(|run| {
+                let ((port, _), _) = run.first()?;
+                let (mut rate, mut rssi_sum, mut n) = (0.0, 0.0, 0usize);
+                for (_, tag) in run {
+                    if let Some(r) = tag.stat.mean_rate_hz() {
+                        rate += r;
+                    }
+                    if let Some(rssi) = tag.stat.mean_rssi_dbm() {
+                        rssi_sum += rssi;
+                        n += 1;
+                    }
+                }
                 let rssi = if n == 0 {
                     f64::NEG_INFINITY
                 } else {
                     rssi_sum / n as f64
                 };
-                (port, (rate, rssi))
+                Some((*port, (rate, rssi)))
             })
+            // `max_by` keeps the last of equal maxima: the higher port.
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(port, _)| port)
     }
@@ -545,6 +548,27 @@ mod tests {
         }
         push_all(&mut state, &reports, &cfg);
         assert_eq!(state.best_antenna(), Some(1));
+    }
+
+    #[test]
+    fn exact_three_port_tie_goes_to_the_highest_port() {
+        // Ports 3, 1 and 2 each carry two tags with identical reads, so
+        // they tie exactly on aggregate rate and on mean RSSI.
+        let cfg = PipelineConfig::paper_default();
+        let mut state = UserStreamState::new();
+        for i in 0..20 {
+            let t = i as f64 * 0.05;
+            for port in [3u8, 1, 2] {
+                for tag in [7u32, 4] {
+                    state.push(
+                        tag,
+                        &report(t, tag, port, 0, 0.0, -50.0 - f64::from(tag)),
+                        &cfg,
+                    );
+                }
+            }
+        }
+        assert_eq!(state.best_antenna(), Some(3));
     }
 
     #[test]

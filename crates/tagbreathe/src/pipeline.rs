@@ -218,8 +218,9 @@ impl<R: IdentityResolver, X: Executor> Router<R, X> {
     /// if a shard has not caught up yet; the order is always cadence
     /// order.
     ///
-    /// Reports whose `time_s` is NaN or infinite are dropped (and counted
-    /// as `tagbreathe_reports_nonfinite_total`).
+    /// Reports whose `time_s`, `phase_rad` or `rssi_dbm` is NaN or
+    /// infinite are dropped (and counted as
+    /// `tagbreathe_reports_nonfinite_total`).
     pub fn push<I>(&mut self, reports: I) -> Vec<RateSnapshot>
     where
         I: IntoIterator<Item = TagReport>,
@@ -246,7 +247,9 @@ impl<R: IdentityResolver, X: Executor> Router<R, X> {
 
     /// Hot path: one report through admission, routing and the cadence.
     fn ingest_report(&mut self, r: &TagReport) {
-        if !r.time_s.is_finite() {
+        // A non-finite phase would pin a NaN unwrap reference on its
+        // channel and a non-finite RSSI would poison the tag's mean RSSI.
+        if !(r.time_s.is_finite() && r.phase_rad.is_finite() && r.rssi_dbm.is_finite()) {
             if self.ctx.recording {
                 self.ctx.recorder.count(metrics::REPORTS_NONFINITE, 1);
             }

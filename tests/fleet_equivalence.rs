@@ -270,6 +270,61 @@ fn hostile_timestamps_are_dropped_identically() {
     }
 }
 
+#[test]
+fn hostile_phase_and_rssi_are_dropped_before_they_touch_state() {
+    // A NaN phase as a channel's first read would pin a NaN unwrap
+    // reference there; a NaN RSSI would leave the tag's mean RSSI NaN for
+    // good. Both are dropped at ingest, so the hostile stream snapshots
+    // bit-identically to the clean one, inline and sharded.
+    use std::sync::Arc;
+    use tagbreathe_suite::tagbreathe::metrics;
+
+    let (clean, ids) = capture_multi_user(20.0);
+    let every = clean.len() / 6;
+    let mut hostile = Vec::with_capacity(clean.len() + 24);
+    for (i, r) in clean.iter().enumerate() {
+        // i = 0 is the stream's first read, so the first on its channel.
+        if i % every == 0 {
+            hostile.push(TagReport {
+                phase_rad: f64::NAN,
+                ..*r
+            });
+            hostile.push(TagReport {
+                rssi_dbm: f64::NAN,
+                ..*r
+            });
+            hostile.push(TagReport {
+                phase_rad: f64::INFINITY,
+                rssi_dbm: f64::NEG_INFINITY,
+                ..*r
+            });
+        }
+        hostile.push(*r);
+    }
+    let dropped = hostile.len() - clean.len();
+    let want = single_thread(&clean, &ids);
+    assert!(want.len() >= 3, "only {} snapshots", want.len());
+    assert_bit_identical(&want, &single_thread(&hostile, &ids), "hostile inline");
+    for shards in [1, 2] {
+        assert_bit_identical(
+            &want,
+            &sharded(&hostile, &ids, shards),
+            &format!("hostile phase/RSSI at {shards} shards"),
+        );
+    }
+    let registry = Arc::new(Registry::new());
+    let mut sm = StreamingMonitor::new(
+        PipelineConfig::paper_default(),
+        EmbeddedIdentity::new(ids.clone()),
+        WINDOW_S,
+        CADENCE_S,
+    )
+    .unwrap()
+    .with_recorder(SharedRecorder::new(registry.clone()));
+    assert_bit_identical(&want, &sm.push(hostile.iter().cloned()), "observed");
+    assert_eq!(registry.counter(metrics::REPORTS_NONFINITE), dropped as u64);
+}
+
 // Wake protocol: idle shard workers park, and the router unparks them
 // after publishing. A lost wake shows up as a hang, so every fleet call
 // below runs under a deadline.
