@@ -39,7 +39,8 @@
 # through real TCP into tagbreathe-server (docs/PROTOCOL.md) and exits
 # non-zero unless every served snapshot is bit-identical to the inline
 # engine and nothing was shed; it also validates the `/slo` JSON (via
-# obs::json) and the `/status` dashboard sections under live load.
+# obs::json) and the `/status` dashboard sections under live load, and
+# fails if `shutdown` takes over 5 s (a listener that missed its wake).
 # Step 11 is the in-tree
 # ratchet linter (crates/lint): it fails on any violation beyond
 # lint-baseline.txt AND on any uncommitted slack (a burn-down that

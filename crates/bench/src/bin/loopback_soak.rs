@@ -21,6 +21,10 @@
 //!    reference stream bit-for-bit;
 //! 3. `/metrics` must show every sent report accepted and none shed.
 //!
+//! Shutdown runs under a watchdog: a listener that misses its wake would
+//! hang `shutdown`, so the soak exits non-zero if it takes longer than
+//! `SHUTDOWN_DEADLINE`, and records `shutdown_ms` otherwise.
+//!
 //! Exits non-zero on any mismatch. Writes a machine-readable JSON
 //! summary (validated before writing) to `--out`
 //! (default `BENCH_loopback.json`).
@@ -32,7 +36,13 @@ use rfchannel::{Antenna, Vec3};
 use server::{LaneMerger, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::channel;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 use tagbreathe::{FleetEngine, PipelineConfig, RateSnapshot};
+
+/// Longest `ServerHandle::shutdown` the soak waits for before failing.
+const SHUTDOWN_DEADLINE: Duration = Duration::from_secs(5);
 
 struct SoakConfig {
     readers: usize,
@@ -232,12 +242,17 @@ fn main() {
     let ingest = handle.ingest_addr();
     let http = handle.http_addr();
 
-    // One thread per reader: real TCP, real interleave.
+    // One thread per reader: real TCP, real interleave. Every reader is
+    // acknowledged (its lane open) before any streams, as in the inline
+    // reference: a lane opened after another reader's reports were
+    // released could not restore the reference order.
+    let all_open = Arc::new(Barrier::new(cfg.readers));
     let mut feeders = Vec::new();
     for (idx, stream_reports) in streams.iter().enumerate() {
         let reader_id = u32::try_from(idx).unwrap_or(u32::MAX).saturating_add(1);
         let batches = chunk_by_time(stream_reports, cfg.batch_span_s);
         let span = cfg.batch_span_s;
+        let all_open = all_open.clone();
         feeders.push(std::thread::spawn(move || {
             let stream = match TcpStream::connect(ingest) {
                 Ok(s) => s,
@@ -253,6 +268,7 @@ fn main() {
                     std::process::exit(1);
                 }
             };
+            all_open.wait();
             for (b, batch) in batches.iter().enumerate() {
                 let clock = span * (b as f64 + 1.0);
                 let sent = if batch.is_empty() {
@@ -313,7 +329,21 @@ fn main() {
         }
     }
 
+    let (done_tx, done_rx) = channel::<()>();
+    let watchdog = std::thread::spawn(move || {
+        if done_rx.recv_timeout(SHUTDOWN_DEADLINE).is_err() {
+            eprintln!(
+                "error: server shutdown did not return within {} s — a listener missed its wake",
+                SHUTDOWN_DEADLINE.as_secs()
+            );
+            std::process::exit(1);
+        }
+    });
+    let shutdown_started = Instant::now();
     let snapshots = handle.shutdown();
+    let shutdown_ms = shutdown_started.elapsed().as_secs_f64() * 1e3;
+    let _ = done_tx.send(());
+    let _ = watchdog.join();
     let reference = reference_snapshots(&streams, &cfg);
 
     // 1. Shutdown log vs reference: full bit equality.
@@ -357,7 +387,8 @@ fn main() {
     }
 
     eprintln!(
-        "# ok: {} snapshots bit-identical (HTTP prefix {}), {} reports accepted, 0 shed",
+        "# ok: {} snapshots bit-identical (HTTP prefix {}), {} reports accepted, 0 shed, \
+         shutdown {shutdown_ms:.1} ms",
         snapshots.len(),
         http_t.len(),
         accepted
@@ -368,7 +399,7 @@ fn main() {
             "{{\"config\":{{\"readers\":{},\"duration_s\":{},\"window_s\":{},",
             "\"update_every_s\":{},\"shards\":{}}},\"reports\":{},",
             "\"snapshots\":{},\"http_snapshots\":{},\"bit_identical\":true,",
-            "\"reports_shed\":{}}}"
+            "\"reports_shed\":{},\"shutdown_ms\":{:.3}}}"
         ),
         cfg.readers,
         cfg.duration_s,
@@ -379,6 +410,7 @@ fn main() {
         snapshots.len(),
         http_t.len(),
         shed,
+        shutdown_ms,
     );
     if let Err(e) = obs::json::validate(&json) {
         eprintln!("error: soak summary is not valid JSON: {e}");

@@ -1,9 +1,10 @@
 //! Minimal HTTP/1.1 observability surface (std-only).
 //!
-//! One thread accepts connections and answers each request inline —
-//! every response closes the connection, requests are capped at 8 KiB,
-//! and only `GET` is implemented. This is an *operator* surface (curl,
-//! Prometheus scrapes, the soak harness), not a general web server.
+//! One thread blocks in the server's accept loop and answers each
+//! request inline — every response is one write and closes the
+//! connection, requests are capped at 8 KiB, and only `GET` is
+//! implemented. This is an *operator* surface (curl, Prometheus
+//! scrapes, the soak harness), not a general web server.
 //!
 //! Endpoints (`docs/OPERATIONS.md` documents them for operators):
 //!
@@ -26,8 +27,7 @@ use obs::recorder::{Label, Recorder};
 use obs::registry::Registry;
 use obs::slo::{render_rows_json, render_rows_text, SloTable};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -40,26 +40,12 @@ pub(crate) struct HttpState {
     pub shards: usize,
 }
 
-/// Accept loop; returns when `stop` is set.
-pub(crate) fn run_http(listener: &TcpListener, state: &HttpState, stop: &AtomicBool) {
-    let _ = listener.set_nonblocking(true);
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                state
-                    .registry
-                    .add(metrics::SERVER_HTTP_REQUESTS_TOTAL, None, 1);
-                serve_one(stream, state);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn serve_one(mut stream: TcpStream, state: &HttpState) {
+/// Answers one accepted connection: reads the request line, routes it,
+/// and writes header and body back in one write.
+pub(crate) fn serve(mut stream: TcpStream, state: &HttpState) {
+    state
+        .registry
+        .add(metrics::SERVER_HTTP_REQUESTS_TOTAL, None, 1);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let Some(request) = read_request(&mut stream) else {
         return;
@@ -71,13 +57,11 @@ fn serve_one(mut stream: TcpStream, state: &HttpState) {
         Some(Label::stage(Stage::HttpServe.code())),
         duration_ns(started.elapsed()),
     );
-    let header = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let response = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.write_all(header.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    let _ = stream.write_all(response.as_bytes());
 }
 
 /// Reads up to the end of the request headers and returns the request

@@ -1,7 +1,7 @@
 //! Server lifecycle: listeners, threads, shutdown.
 
 use crate::engine::{run_engine, EngineEvent, EngineState, Publisher, SnapshotStore, UserSnapshot};
-use crate::http::{run_http, HttpState};
+use crate::http::{serve, HttpState};
 use crate::metrics;
 use crate::session::{run_session, SessionLimits};
 use crate::slo::SloConfig;
@@ -11,7 +11,7 @@ use obs::recorder::{Recorder, SharedRecorder};
 use obs::registry::Registry;
 use obs::slo::{SloRow, SloTable};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
@@ -124,10 +124,22 @@ impl ServerHandle {
     /// emission order (minus any trimmed by the log bound).
     #[must_use]
     pub fn shutdown(mut self) -> Vec<RateSnapshot> {
-        // Release pairs with the Acquire loads in the accept/session/http
+        // Release pairs with the Acquire loads in the accept and session
         // loops (declared in lint.toml `[atomics]`): whatever the caller
         // wrote before shutdown is visible to the loops' final laps.
         self.stop.store(true, Ordering::Release);
+        // Both listeners block in `accept`: a loopback connect to each
+        // bound address (an unspecified IP is reached through loopback)
+        // wakes it to see the flag.
+        for mut addr in [self.ingest_addr, self.http_addr] {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr.ip() {
+                    IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(addr);
+        }
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -225,38 +237,28 @@ where
     let accept_stop = stop.clone();
     let accept_recorder = recorder.clone();
     let acceptor = std::thread::spawn(move || {
-        let _ = ingest.set_nonblocking(true);
         let open = Arc::new(AtomicU64::new(0));
         let mut sessions: Vec<JoinHandle<()>> = Vec::new();
         let mut next_session: u32 = 1;
-        while !accept_stop.load(Ordering::Acquire) {
-            match ingest.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    accept_recorder.add(metrics::SERVER_CONNECTIONS_TOTAL, None, 1);
-                    let gauge = open.fetch_add(1, Ordering::Relaxed) + 1;
-                    accept_recorder.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, gauge as f64);
-                    let tx = tx.clone();
-                    let rec = accept_recorder.clone();
-                    let session_stop = accept_stop.clone();
-                    let session_open = open.clone();
-                    let session_id = next_session;
-                    next_session = next_session.wrapping_add(1);
-                    sessions.push(std::thread::spawn(move || {
-                        let _ = run_session(stream, &tx, &rec, limits, &session_stop, session_id);
-                        let left = session_open
-                            .fetch_sub(1, Ordering::Relaxed)
-                            .saturating_sub(1);
-                        rec.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, left as f64);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(2)),
-            }
+        accept_loop(&ingest, &accept_stop, |stream| {
+            accept_recorder.add(metrics::SERVER_CONNECTIONS_TOTAL, None, 1);
+            let gauge = open.fetch_add(1, Ordering::Relaxed) + 1;
+            accept_recorder.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, gauge as f64);
+            let tx = tx.clone();
+            let rec = accept_recorder.clone();
+            let session_stop = accept_stop.clone();
+            let session_open = open.clone();
+            let session_id = next_session;
+            next_session = next_session.wrapping_add(1);
             sessions.retain(|h| !h.is_finished());
-        }
+            sessions.push(std::thread::spawn(move || {
+                let _ = run_session(stream, &tx, &rec, limits, &session_stop, session_id);
+                let left = session_open
+                    .fetch_sub(1, Ordering::Relaxed)
+                    .saturating_sub(1);
+                rec.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, left as f64);
+            }));
+        });
         // Drop our event sender before joining sessions; theirs hang up as
         // they observe the stop flag.
         drop(tx);
@@ -273,7 +275,7 @@ where
     };
     let http_stop = stop.clone();
     let http_thread = std::thread::spawn(move || {
-        run_http(&http, &http_state, &http_stop);
+        accept_loop(&http, &http_stop, |stream| serve(stream, &http_state));
     });
 
     Ok(ServerHandle {
@@ -287,4 +289,85 @@ where
         engine: Some(engine),
         http: Some(http_thread),
     })
+}
+
+/// The accept loop both listeners run: blocks in `accept` and hands each
+/// accepted stream to `handle`. `accept_stop` is checked after every
+/// return, so once [`ServerHandle::shutdown`] has set it and connected to
+/// wake the listener, the loop ends without handling that connection.
+fn accept_loop(
+    listener: &TcpListener,
+    accept_stop: &AtomicBool,
+    mut handle: impl FnMut(TcpStream),
+) {
+    for accepted in listener
+        .incoming()
+        .take_while(|_| !accept_stop.load(Ordering::Acquire))
+    {
+        match accepted {
+            Ok(stream) => handle(stream),
+            // A real error such as EMFILE: back off rather than spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use epcgen2::client::ReaderClient;
+    use std::io::{Read, Write};
+    use std::sync::mpsc::channel;
+
+    fn healthz(addr: SocketAddr) -> String {
+        let mut stream = TcpStream::connect(addr).expect("http connect");
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .expect("http write");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("http read");
+        response
+    }
+
+    #[test]
+    fn shutdown_wake_is_not_counted_or_given_a_session() {
+        let handle = start(ServerConfig::default()).expect("server starts");
+        let registry = handle.registry();
+        // One real reader session and one real request, each counted
+        // before shutdown (the Ack comes from the spawned session), so
+        // the counters are known to work.
+        let stream = TcpStream::connect(handle.ingest_addr()).expect("ingest connect");
+        let client = ReaderClient::connect(stream, 1, 0).expect("hello");
+        client.goodbye().expect("goodbye");
+        assert!(healthz(handle.http_addr()).ends_with("\r\n\r\nok\n"));
+        let _ = handle.shutdown();
+        assert_eq!(registry.counter(metrics::SERVER_CONNECTIONS_TOTAL), 1);
+        assert_eq!(registry.counter(metrics::SERVER_HTTP_REQUESTS_TOTAL), 1);
+        assert_eq!(
+            registry.gauge_value(metrics::SERVER_SESSIONS_OPEN),
+            Some(0.0)
+        );
+    }
+
+    #[test]
+    fn shutdown_wakes_listeners_bound_to_the_unspecified_address() {
+        let handle = start(ServerConfig {
+            ingest_addr: "0.0.0.0:0".into(),
+            http_addr: "0.0.0.0:0".into(),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        assert!(handle.ingest_addr().ip().is_unspecified());
+        assert!(handle.http_addr().ip().is_unspecified());
+        let (done_tx, done_rx) = channel();
+        let shutdown = std::thread::spawn(move || {
+            let _ = handle.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "shutdown must wake both listeners and return"
+        );
+        shutdown.join().expect("shutdown thread");
+    }
 }

@@ -21,8 +21,9 @@ use tagbreathe_suite::server::{self, ServerConfig};
 const USER_HZ: f64 = 100.0;
 
 /// Budget for one idle second. The server's acceptor and HTTP threads
-/// poll every few milliseconds, so the true cost is well above zero but
-/// far below one spinning core.
+/// block in `accept` and its engine thread blocks on its queue, so the
+/// true cost is a few milliseconds; one spinning core costs a whole
+/// CPU-second.
 const IDLE_BUDGET_CPU_S: f64 = 0.25;
 
 /// User plus system CPU time of the whole process, in seconds.

@@ -7,6 +7,8 @@
 use server::{LaneMerger, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 use tagbreathe_suite::prelude::*;
 
 fn capture(user: u64, seed: u64, secs: f64) -> Vec<TagReport> {
@@ -50,16 +52,22 @@ fn http_get(handle: &ServerHandle, path: &str) -> (String, String) {
 
 fn feed_and_shutdown(handle: ServerHandle, streams: &[Vec<TagReport>]) -> Vec<RateSnapshot> {
     let ingest = handle.ingest_addr();
+    // Every reader is acknowledged (its lane open) before any streams,
+    // as in the inline reference: a lane opened after another reader's
+    // reports were released could not restore the reference order.
+    let all_open = Arc::new(Barrier::new(streams.len()));
     let feeders: Vec<_> = streams
         .iter()
         .enumerate()
         .map(|(idx, reports)| {
             let reports = reports.clone();
             let reader_id = idx as u32 + 1;
+            let all_open = all_open.clone();
             std::thread::spawn(move || {
                 let stream = TcpStream::connect(ingest).expect("connect");
                 let mut client =
                     epcgen2::client::ReaderClient::connect(stream, reader_id, 0).expect("hello");
+                all_open.wait();
                 for chunk in reports.chunks(64) {
                     let clock = chunk.last().map_or(0.0, |r| r.time_s);
                     client.send_batch(chunk, clock).expect("batch");
@@ -239,5 +247,41 @@ fn latest_for_matches_final_snapshot() {
             .iter()
             .any(|s| s.rates_bpm.get(&1).map(|r| r.to_bits()) == Some(live.rate_bpm.to_bits())),
         "live view must match one of the emitted snapshots"
+    );
+}
+
+/// Both listeners block in `accept` and are woken by a connect, so
+/// nothing waits out a poll period. Fifty sequential GETs on an idle
+/// server take a few milliseconds; a 5 ms accept poll would cost each
+/// GET a wait for the next poll, 250 ms or more for the fifty. The best
+/// of three rounds is timed, so one descheduled round on a busy host
+/// does not decide the test.
+#[test]
+fn idle_listeners_answer_without_an_accept_poll_floor() {
+    let handle = start_server();
+    let best = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..50 {
+                let (status, body) = http_get(&handle, "/healthz");
+                assert!(status.contains("200"), "healthz: {status}");
+                assert_eq!(body.trim(), "ok");
+            }
+            started.elapsed()
+        })
+        .min()
+        .expect("three rounds");
+    assert!(
+        best < Duration::from_millis(100),
+        "50 sequential GETs took {best:?}; the HTTP listener waits on a poll"
+    );
+    let _ = handle.shutdown();
+
+    let started = Instant::now();
+    let _ = start_server().shutdown();
+    let lifecycle = started.elapsed();
+    assert!(
+        lifecycle < Duration::from_secs(1),
+        "idle start → shutdown took {lifecycle:?}; a listener missed its wake"
     );
 }
